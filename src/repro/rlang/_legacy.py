@@ -23,6 +23,13 @@ Expressions: column refs, numeric/string literals, arithmetic
 [NOT] IN (...), [NOT] BETWEEN ... AND ..., [NOT] LIKE 'pat%', and the
 aggregates COUNT(*|expr), SUM, AVG, MIN, MAX. Everything is evaluated
 vectorised over NumPy columns; joins are hash equi-joins.
+
+Since ISSUE 12 the live kernels treat a NaN key as SQL NULL (one group
+under GROUP BY / DISTINCT, never a join match). This frozen twin keeps
+the old behaviour: its per-row ``tuple(col[i] ...)`` keys make a fresh
+NaN scalar per row and NaN != NaN, so every NaN key is its own group.
+The equivalence suite generates no NaN keys, so the two still agree
+wherever they are compared.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
 """Physical execution of logical plans over DataFrames (ISSUE 9).
 
-The executor reuses the vectorized expression kernels of
-:mod:`repro.rlang.sqldf` (``_eval`` / ``_eval_aggregate`` / join /
-distinct helpers) so the planner path is operation-for-operation the
-frozen eager evaluator — the randomized equivalence suite pins the two
-worlds to identical frames. What the planner adds on top:
+The executor runs on the kernels of :mod:`repro.rlang.sqldf`: the
+vectorized expression evaluators (``_eval`` / ``_eval_aggregate``) and
+the three relational kernels built on one key factorisation
+(``_group_frames`` / ``_hash_join`` / ``_distinct_rows``). The
+randomized equivalence suite pins it to the frozen eager evaluator on
+NaN-free keys; ``tests/rlang/test_relational_kernels.py`` checks the
+kernels against ``sqlite3`` and brute force. What the planner adds on
+top:
 
 - scans are materialized through a ``resolve`` callback, so the same
   plan runs over in-memory frames (:func:`run_query`) or over
@@ -85,55 +88,6 @@ def frame_scan(frame: DataFrame, columns: Optional[list[str]],
     return out
 
 
-def _hash_join_build_left(left: DataFrame, right: DataFrame,
-                          using: list[str]) -> DataFrame:
-    """Broadcast-style join building the *left* side's hash index.
-
-    Emits exactly the pair order of :func:`~repro.rlang.sqldf._hash_join`
-    (left-major, right insertion order within a key), so the cost-model's
-    build-side choice can never change results.
-    """
-    for key in using:
-        if key not in left or key not in right:
-            raise SQLError(f"USING column {key!r} missing from a side")
-    left_rest = [c for c in left.names if c not in using]
-    right_rest = [c for c in right.names if c not in using]
-    clash = set(left_rest) & set(right_rest)
-    if clash:
-        raise SQLError(
-            f"ambiguous non-key columns in join: {sorted(clash)}")
-
-    index: dict[tuple, list[int]] = {}
-    left_keys = [left[k] for k in using]
-    for i in range(left.nrow):
-        index.setdefault(
-            tuple(col[i] for col in left_keys), []).append(i)
-
-    matches: dict[int, list[int]] = {}
-    right_keys = [right[k] for k in using]
-    for j in range(right.nrow):
-        for i in index.get(tuple(col[j] for col in right_keys), ()):
-            matches.setdefault(i, []).append(j)
-
-    left_rows: list[int] = []
-    right_rows: list[int] = []
-    for i in range(left.nrow):
-        for j in matches.get(i, ()):
-            left_rows.append(i)
-            right_rows.append(j)
-
-    li = np.array(left_rows, dtype=np.int64)
-    ri = np.array(right_rows, dtype=np.int64)
-    out = DataFrame()
-    for key in using:
-        out[key] = left[key][li] if len(li) else left[key][:0]
-    for name in left_rest:
-        out[name] = left[name][li] if len(li) else left[name][:0]
-    for name in right_rest:
-        out[name] = right[name][ri] if len(ri) else right[name][:0]
-    return out
-
-
 def _with_column(frame: DataFrame, name: str,
                  values: np.ndarray) -> DataFrame:
     out = DataFrame()
@@ -173,19 +127,18 @@ def _aggregate(node: Aggregate_, frame: DataFrame) -> DataFrame:
             keys.append(hidden)
         groups = _group_frames(work, keys)
     else:
-        groups = [((), frame)]
+        groups = [frame]
     if node.having is not None:
         groups = [
-            (key, grp) for key, grp in groups
+            grp for grp in groups
             if bool(_eval_aggregate_cols(node.having, grp, grp.nrow))
         ]
-    rows: list[list[Any]] = []
     names = [_item_name(item, i) for i, item in enumerate(node.items)]
-    for _key, grp in groups:
-        rows.append([
-            _eval_aggregate_cols(item.expr, grp, grp.nrow)
-            for item in node.items
-        ])
+    rows = [
+        [_eval_aggregate_cols(item.expr, grp, grp.nrow)
+         for item in node.items]
+        for grp in groups
+    ]
     out = DataFrame()
     for j, name in enumerate(names):
         out[name] = np.array([row[j] for row in rows]) if rows \
@@ -202,8 +155,6 @@ def execute(root: PlanNode,
         if isinstance(node, Join):
             left = run(node.left)
             right = resolve(node.right)
-            if node.build_side == "left" and node.strategy == "broadcast":
-                return _hash_join_build_left(left, right, node.using)
             return _hash_join(left, right, node.using)
         if isinstance(node, Filter):
             frame = run(node.child)

@@ -306,10 +306,10 @@ def _choose_join_strategies(root: PlanNode,
                             broadcast_bytes: float) -> None:
     """Annotate each join with broadcast-vs-repartition and build side.
 
-    Both strategies produce byte-identical output (pair order is
-    left-major either way); the annotation decides which side's hash
-    index is built — the map-side-combine-style broadcast when the
-    small side fits — and feeds the session's counters.
+    The annotations record what a distributed engine would do —
+    broadcast the small side when it fits, else repartition — and are
+    shown by ``explain``; the in-process executor has a single join
+    kernel, so they cannot change the output.
     """
     stack = [root]
     while stack:

@@ -78,10 +78,10 @@ class Scan:
 class Join:
     """Inner equi-join (``JOIN ... USING``) of ``left`` onto ``right``.
 
-    ``strategy``/``build_side`` are cost-model annotations: broadcast
-    hash joins build the small side's index, repartition joins keep the
-    legacy right-side build. Either way the output rows are identical
-    (left-major pair order); the choice only moves cost accounting.
+    ``strategy``/``build_side`` are the cost model's annotations,
+    shown by ``explain``. The executor has one join kernel and reads
+    neither: output rows are always in (left row ascending, right row
+    ascending) pair order.
     """
 
     left: "PlanNode"

@@ -15,7 +15,9 @@ Expressions: column refs, numeric/string literals, arithmetic
 (+ - * / %), comparisons (= != <> < <= > >=), AND/OR/NOT, parentheses,
 [NOT] IN (...), [NOT] BETWEEN ... AND ..., [NOT] LIKE 'pat%', and the
 aggregates COUNT(*|expr), SUM, AVG, MIN, MAX. Everything is evaluated
-vectorised over NumPy columns; joins are hash equi-joins.
+vectorised over NumPy columns; GROUP BY, JOIN USING and DISTINCT share
+one key-factorisation kernel. NaN is SQL NULL in a key: NaN keys form
+one group under GROUP BY and DISTINCT and never match in a join.
 """
 
 from __future__ import annotations
@@ -534,13 +536,60 @@ def _item_name(item: SelectItem, index: int) -> str:
     return f"col{index}"
 
 
-def _project_plain(query: Query, frame: DataFrame) -> DataFrame:
-    if query.star:
-        return frame
-    out = DataFrame()
-    for i, item in enumerate(query.items):
-        out[_item_name(item, i)] = _eval(item.expr, frame, frame.nrow)
-    return out
+# --------------------------------------------------------------------------
+# Relational kernels: one key factorisation behind GROUP BY, JOIN, DISTINCT
+# --------------------------------------------------------------------------
+
+def _null_mask(col: np.ndarray) -> Optional[np.ndarray]:
+    """Rows whose key is SQL NULL (NaN), or None when there are none."""
+    if col.dtype.kind not in "fc":
+        return None
+    null = np.isnan(col)
+    return null if null.any() else None
+
+
+def _column_codes(col: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense codes of one key column and how many there are.
+
+    Equal values share a code; every NaN shares the last one. The route
+    is the column dtype's: floats split NaNs off before sorting, object
+    columns sort with Python comparisons (so unorderable mixes are a
+    :class:`SQLError`), everything else is a plain ``np.unique``.
+    """
+    null = _null_mask(col)
+    if null is not None:
+        keep = ~null
+        uniq, inverse = np.unique(col[keep], return_inverse=True)
+        codes = np.full(len(col), len(uniq), dtype=np.int64)
+        codes[keep] = inverse
+        return codes, len(uniq) + 1
+    try:
+        uniq, codes = np.unique(col, return_inverse=True)
+    except TypeError as exc:
+        raise SQLError(
+            f"key column holds values that cannot be ordered: {exc}"
+        ) from None
+    return codes, len(uniq)
+
+
+def _key_codes(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Factorise row keys: ``(codes, first)``.
+
+    ``codes[i]`` is the dense ``int64`` id of row ``i``'s key tuple,
+    numbered in first-occurrence order; ``first[g]`` is the first row
+    holding key ``g`` (so ``first`` ascends). Columns are combined one
+    at a time and re-densified after each, so the running code stays
+    below ``nrow`` and ``code * size`` cannot overflow.
+    """
+    codes, _size = _column_codes(columns[0])
+    for col in columns[1:]:
+        col_codes, size = _column_codes(col)
+        codes = np.unique(codes * size + col_codes, return_inverse=True)[1]
+    first = np.unique(codes, return_index=True)[1]   # codes are dense
+    by_first = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[by_first] = np.arange(len(first))
+    return rank[codes], first[by_first]
 
 
 def _hash_join(left: DataFrame, right: DataFrame,
@@ -549,7 +598,10 @@ def _hash_join(left: DataFrame, right: DataFrame,
 
     Result columns: the key columns once, then the remaining columns of
     each side; non-key name collisions are an error (no qualifiers in
-    this dialect).
+    this dialect). Output pairs are ordered (left row ascending, right
+    row ascending). Numeric keys match by value across dtypes
+    (``1 == 1.0``), a numeric column never matches a string column,
+    and a NaN key matches nothing.
     """
     for key in using:
         if key not in left or key not in right:
@@ -561,80 +613,68 @@ def _hash_join(left: DataFrame, right: DataFrame,
         raise SQLError(
             f"ambiguous non-key columns in join: {sorted(clash)}")
 
-    index: dict[tuple, list[int]] = {}
-    right_keys = [right[k] for k in using]
-    for j in range(right.nrow):
-        index.setdefault(
-            tuple(col[j] for col in right_keys), []).append(j)
-
-    left_rows: list[int] = []
-    right_rows: list[int] = []
-    left_keys = [left[k] for k in using]
-    for i in range(left.nrow):
-        for j in index.get(tuple(col[i] for col in left_keys), ()):
-            left_rows.append(i)
-            right_rows.append(j)
-
-    li = np.array(left_rows, dtype=np.int64)
-    ri = np.array(right_rows, dtype=np.int64)
+    li, ri = _join_pairs([left[k] for k in using],
+                         [right[k] for k in using])
     out = DataFrame()
-    for key in using:
-        out[key] = left[key][li] if len(li) else left[key][:0]
-    for name in left_rest:
-        out[name] = left[name][li] if len(li) else left[name][:0]
+    for name in using + left_rest:
+        out[name] = left[name][li]
     for name in right_rest:
-        out[name] = right[name][ri] if len(ri) else right[name][:0]
+        out[name] = right[name][ri]
     return out
+
+
+def _join_pairs(left_keys: list[np.ndarray], right_keys: list[np.ndarray]
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Row index pairs of equal keys, (left asc, right asc) order."""
+    n_left = len(left_keys[0])
+    none = np.zeros(0, dtype=np.int64)
+    columns = []
+    for lcol, rcol in zip(left_keys, right_keys):
+        if (lcol.dtype.kind in "biufc") != (rcol.dtype.kind in "biufc"):
+            return none, none       # numeric vs string: equal to nothing
+        columns.append(np.concatenate([lcol, rcol]))
+    codes, first = _key_codes(columns)
+    left_codes, right_codes = codes[:n_left], codes[n_left:]
+    # a NULL key equals nothing: NULL right rows are dropped, which
+    # leaves every NULL left row's code without a partner
+    right_rows = np.arange(len(right_codes))
+    for col in right_keys:
+        null = _null_mask(col)
+        if null is not None:
+            right_rows = right_rows[~null[right_rows]]
+    right_codes = right_codes[right_rows]
+    # right rows bucketed by code, ascending inside a bucket
+    buckets = right_rows[np.argsort(right_codes, kind="stable")]
+    bucket_len = np.bincount(right_codes, minlength=len(first))
+    bucket_start = np.cumsum(bucket_len) - bucket_len
+    matches = bucket_len[left_codes]            # per left row
+    li = np.repeat(np.arange(n_left), matches)
+    run_start = np.cumsum(matches) - matches    # per left row, in output
+    within = np.arange(len(li)) - np.repeat(run_start, matches)
+    ri = buckets[np.repeat(bucket_start[left_codes], matches) + within]
+    return li, ri
 
 
 def _distinct_rows(frame: DataFrame) -> DataFrame:
-    """Drop duplicate rows, keeping the first occurrence."""
-    seen: set[tuple] = set()
-    keep: list[int] = []
-    columns = [frame[name] for name in frame.names]
-    for i in range(frame.nrow):
-        row = tuple(col[i] for col in columns)
-        if row not in seen:
-            seen.add(row)
-            keep.append(i)
-    return frame.subset(np.array(keep, dtype=np.int64))
+    """Drop duplicate rows, keeping the first occurrence (NaNs are
+    equal to each other here, as SQL NULLs are under DISTINCT)."""
+    if frame.nrow == 0:
+        return frame
+    _codes, first = _key_codes([frame[name] for name in frame.names])
+    return frame.subset(first)
 
 
-def _group_frames(frame: DataFrame,
-                  keys: list[str]) -> list[tuple[tuple, DataFrame]]:
+def _group_frames(frame: DataFrame, keys: list[str]) -> list[DataFrame]:
+    """One sub-frame per distinct key, groups in first-occurrence order
+    and rows in input order inside a group; NaN keys form one group."""
     if frame.nrow == 0:
         return []
-    columns = [frame[k] for k in keys]
-    seen: dict[tuple, list[int]] = {}
-    for i in range(frame.nrow):
-        key = tuple(col[i] for col in columns)
-        seen.setdefault(key, []).append(i)
-    return [(key, frame.subset(np.array(rows)))
-            for key, rows in seen.items()]
-
-
-def _project_grouped(query: Query, frame: DataFrame) -> DataFrame:
-    if query.star:
-        raise SQLError("SELECT * cannot be combined with aggregation")
-    groups = _group_frames(frame, query.group_by) if query.group_by \
-        else [((), frame)]
-    if query.having is not None:
-        groups = [
-            (key, grp) for key, grp in groups
-            if bool(_eval_aggregate(query.having, grp, grp.nrow))
-        ]
-    rows: list[list[Any]] = []
-    names = [_item_name(item, i) for i, item in enumerate(query.items)]
-    for _key, grp in groups:
-        rows.append([
-            _eval_aggregate(item.expr, grp, grp.nrow)
-            for item in query.items
-        ])
-    out = DataFrame()
-    for j, name in enumerate(names):
-        out[name] = np.array([row[j] for row in rows]) if rows \
-            else np.array([])
-    return out
+    codes, first = _key_codes([frame[k] for k in keys])
+    order = np.argsort(codes, kind="stable")
+    sizes = np.bincount(codes, minlength=len(first))
+    ends = np.cumsum(sizes)
+    return [frame.subset(order[start:end])
+            for start, end in zip(ends - sizes, ends)]
 
 
 def parse(sql: str) -> Query:
@@ -649,10 +689,11 @@ def sqldf(sql: str, frames: dict[str, DataFrame],
     Since ISSUE 9 this routes through the logical planner
     (:mod:`repro.rlang.plan` / :mod:`repro.rlang.exec`):
     lower the AST, run projection/predicate pushdown when ``optimize``
-    is on, and execute with the same vectorized kernels as before. The
+    is on, and execute with this module's vectorized kernels. The
     pre-planner eager evaluator is frozen verbatim as
     :func:`repro.rlang._legacy.legacy_sqldf` and the randomized
-    equivalence suite pins all three paths to identical frames.
+    equivalence suite pins all three paths to identical frames
+    (on NaN-free keys: the frozen twin keeps NaN != NaN).
     """
     from repro.rlang.exec import run_query  # lazy: avoids import cycle
 
