@@ -35,13 +35,13 @@ def _simscale_rows(**kwargs):
 
 
 def _sparklike_rows(**kwargs):
-    # lazy: imports the frozen legacy engine alongside the live one
+    # lazy: the engine bench builds its own worlds, no figure harness
     from repro.bench.sparkbench import sparklike_rows
     return sparklike_rows(**kwargs)
 
 
 def _sql_rows(**kwargs):
-    # lazy: imports the frozen eager evaluator alongside the planner
+    # lazy: the SQL bench builds its own worlds, no figure harness
     from repro.bench.sqlbench import sql_rows
     return sql_rows(**kwargs)
 

@@ -1,19 +1,20 @@
-"""Engine-vs-engine: the lazy DAG sparklike engine against the frozen
-v1 eager engine on an iterative wordcount — the BENCH_sparklike
-trajectory.
+"""Knob-vs-knob on the sparklike engine: fusion and caching against
+the default-knob baseline on an iterative wordcount — the
+BENCH_sparklike trajectory.
 
-The workload is the iterative pattern the lazy engine was built for: a
-text corpus on HDFS feeds a three-operator narrow chain, and the job
-re-aggregates it over several iterations (think: a fixpoint loop over
-the same parsed input). The eager engine re-reads and re-parses the
-corpus every iteration; the lazy engine with ``fusion=True`` collapses
-the narrow chain into one per-partition pass, and with ``.cache()`` the
-parsed records are served from executor memory after iteration one.
+The workload is the iterative pattern the engine's knobs were built
+for: a text corpus on HDFS feeds a three-operator narrow chain, and the
+job re-aggregates it over several iterations (think: a fixpoint loop
+over the same parsed input). The default-knob ``lazy`` baseline
+re-reads and re-parses the corpus every iteration; ``fusion=True``
+collapses the narrow chain into one per-partition pass, and with
+``.cache()`` the parsed records are served from executor memory after
+iteration one.
 
 All timings are *simulated* seconds, so the comparison is deterministic
-— CI gates fused+cached at >= 1.5x over the eager baseline without
-wall-clock noise. Results land in ``bench_results/BENCH_sparklike.json``
-next to BENCH_shuffle/BENCH_write/BENCH_obs/BENCH_simscale.
+— CI gates fused+cached at >= 1.5x over the baseline without wall-clock
+noise. Results land in ``bench_results/BENCH_sparklike.json`` next to
+BENCH_shuffle/BENCH_write/BENCH_obs/BENCH_simscale.
 """
 
 from __future__ import annotations
@@ -24,15 +25,16 @@ WORDS = ("alpha", "beta", "gamma", "delta", "epsilon",
 #: the ISSUE-8 trajectory gate
 MIN_SPEEDUP = 1.5
 
-#: engine configurations: name -> (engine kind, context kwargs, cached)
-#: — plain data so a campaign state point can name a config by string
+#: engine configurations: name -> (context kwargs, cached) — plain data
+#: so a campaign state point can name a config by string
 CONFIGS = {
-    "legacy-eager": ("legacy", {}, False),
-    "lazy": ("lazy", {}, False),
-    "lazy+fusion": ("lazy", {"fusion": True}, False),
-    "lazy+cache": ("lazy", {}, True),
-    "lazy+fusion+cache": ("lazy", {"fusion": True}, True),
+    "lazy": ({}, False),
+    "lazy+fusion": ({"fusion": True}, False),
+    "lazy+cache": ({}, True),
+    "lazy+fusion+cache": ({"fusion": True}, True),
 }
+#: the default-knob row every speed-up is quoted against
+BASELINE = "lazy"
 
 
 def _build_world(n_nodes: int = 4, n_lines: int = 400):
@@ -53,8 +55,8 @@ def _run_iterative(ctx, iterations: int, cached: bool):
     wordcount. Returns ``(timed_simulated_seconds, final_counts)``.
 
     The timed loop is the iterative pattern: each round re-aggregates
-    the same parsed input. Eager execution re-reads and re-parses the
-    corpus from HDFS every round; a cached lazy run parses once."""
+    the same parsed input. An uncached run re-reads and re-parses the
+    corpus from HDFS every round; a cached run parses once."""
     parsed = (ctx.text_file("/corpus")
               .map(lambda line: line.decode())
               .flat_map(lambda line: line.split())
@@ -66,7 +68,7 @@ def _run_iterative(ctx, iterations: int, cached: bool):
     for _round in range(iterations):
         total += parsed.count()
     seconds = ctx.env.now - t0
-    # Untimed correctness check: every engine must agree on the counts.
+    # Untimed correctness check: every config must agree on the counts.
     counts = dict(parsed.reduce_by_key(lambda a, b: a + b).collect())
     counts["__total__"] = total
     return seconds, counts
@@ -82,21 +84,19 @@ def run_config(name: str, n_lines: int = 2000,
     cross-configuration equality checks).
     """
     from repro.sparklike import Context
-    from repro.sparklike._legacy import LegacyContext
 
     try:
-        engine_kind, ctx_kw, cached = CONFIGS[name]
+        ctx_kw, cached = CONFIGS[name]
     except KeyError:
         raise ValueError(
             f"unknown sparklike config {name!r}; have "
             f"{sorted(CONFIGS)}") from None
-    engine = LegacyContext if engine_kind == "legacy" else Context
     # Same knobs for every config: parsing cost is real relative to the
     # per-task floor, so laziness/fusion/caching — not startup noise —
     # decide the comparison.
     knobs = {"record_cost": 1e-4, "task_startup": 0.002}
     env, nodes, hdfs, network = _build_world(n_lines=n_lines)
-    ctx = engine(env, nodes, hdfs, network, **knobs, **ctx_kw)
+    ctx = Context(env, nodes, hdfs, network, **knobs, **ctx_kw)
     seconds, counts = _run_iterative(ctx, iterations, cached)
     return {
         "sim_seconds": seconds,
@@ -126,7 +126,7 @@ def build_comparison_doc(entries: dict) -> dict:
             "cache_hits": entry["cache_hits"],
             "identical_results": counts == reference,
         }
-    baseline = doc["configs"]["legacy-eager"]["sim_seconds"]
+    baseline = doc["configs"][BASELINE]["sim_seconds"]
     for entry in doc["configs"].values():
         entry["speedup"] = baseline / entry["sim_seconds"]
     doc["speedup"] = doc["configs"]["lazy+fusion+cache"]["speedup"]
@@ -151,14 +151,14 @@ def doc_rows(doc: dict):
     """(columns, rows, note) for a comparison document — shared by the
     CLI below and the campaign aggregation table."""
     columns = ["engine config", "sim seconds", "tasks", "cache hits",
-               "speedup vs eager"]
+               f"speedup vs {BASELINE}"]
     rows = [
         (name, round(entry["sim_seconds"], 4), entry["tasks"],
          entry["cache_hits"], round(entry["speedup"], 2))
         for name, entry in doc["configs"].items()
     ]
     note = (f"iterative wordcount, {doc['iterations']} rounds over "
-            f"{doc['n_lines']} lines; identical results across engines: "
+            f"{doc['n_lines']} lines; identical results across configs: "
             f"{doc['identical_results']}; simulated time, deterministic")
     return columns, rows, note
 

@@ -1,30 +1,26 @@
-"""SQL pushdown vs the frozen eager evaluator on NU-WRF scinc data —
-the BENCH_sql trajectory (ISSUE 9).
+"""SQL pushdown vs full-table scans on NU-WRF scinc data — the
+BENCH_sql trajectory.
 
 The workload is the paper's Fig. 9 shape: a selective rain query over
 synthetic NU-WRF timesteps on the PFS (``WHERE QR > t`` with ``t`` just
-under the global maximum) plus a per-level aggregate. Three engine
+under the global maximum) plus a per-level aggregate. Two
 configurations run the same queries over identical data:
 
-- ``legacy-eager``: the frozen :func:`repro.rlang._legacy.legacy_sqldf`
-  over fully materialized tables — every chunk of every variable moves.
-- ``planner``: the logical planner with pushdown off — the timing twin
-  of the eager path (same reads, same order; CI pins the delta at 1e-9).
+- ``planner``: pushdown off, the baseline — every chunk of every
+  variable of each referenced table moves.
 - ``planner+pushdown``: projection pushdown drops the 22 unreferenced
   variables and zone maps prune chunks the predicate cannot match, so
   only a sliver of the file's bytes leave the PFS.
 
 All timings are *simulated* seconds, so the comparison is deterministic
-— CI gates identical result frames, the 1e-9 twin delta, and a >= 10x
-bytes-scanned reduction for the pushdown config. Results land in
-``bench_results/BENCH_sql.json``.
+— CI gates identical result frames and a >= 10x bytes-scanned reduction
+for the pushdown config. Results land in ``bench_results/BENCH_sql.json``.
 """
 
 from __future__ import annotations
 
-#: the ISSUE-9 trajectory gates
+#: the trajectory gate
 MIN_BYTES_REDUCTION = 10.0
-TWIN_TOLERANCE = 1e-9
 
 
 def _nuwrf_config(shape=(8, 48, 48), timesteps: int = 2):
@@ -79,13 +75,14 @@ def _queries(manifest, threshold: float) -> list[str]:
     ], first
 
 
-#: engine configurations: name -> (engine, pushdown) — plain data so a
-#: campaign state point can name a config by string
+#: configurations: name -> pushdown — plain data so a campaign state
+#: point can name a config by string
 SQL_CONFIGS = {
-    "legacy-eager": ("legacy", False),
-    "planner": ("planner", False),
-    "planner+pushdown": ("planner", True),
+    "planner": False,
+    "planner+pushdown": True,
 }
+#: the pushdown-off row every ratio is quoted against
+BASELINE = "planner"
 
 
 def serialize_frames(frames) -> list[dict]:
@@ -106,7 +103,7 @@ def run_config(name: str, shape=(8, 48, 48), timesteps: int = 2,
     not given).
     """
     try:
-        engine, pushdown = SQL_CONFIGS[name]
+        pushdown = SQL_CONFIGS[name]
     except KeyError:
         raise ValueError(
             f"unknown sql config {name!r}; have "
@@ -114,17 +111,16 @@ def run_config(name: str, shape=(8, 48, 48), timesteps: int = 2,
     config = _nuwrf_config(shape=tuple(shape), timesteps=timesteps)
     if threshold is None:
         threshold = selective_threshold(config)
-    entry, results = _run_config(engine, pushdown, config, threshold)
+    entry, results = _run_config(pushdown, config, threshold)
     return {"entry": entry, "results": serialize_frames(results),
             "threshold": threshold}
 
 
-def _run_config(engine: str, pushdown: bool, config, threshold: float):
+def _run_config(pushdown: bool, config, threshold: float):
     from repro.rlang.session import SQLSession
 
     env, nodes, scidp, manifest = build_sql_world(config)
-    session = SQLSession(env, scidp.storage, nodes[0],
-                         pushdown=pushdown, engine=engine)
+    session = SQLSession(env, scidp.storage, nodes[0], pushdown=pushdown)
     for i, path in enumerate(manifest["files"]):
         session.register_scinc(f"t{i}", f"pfs://{path.lstrip('/')}")
     queries, _first = _queries(manifest, threshold)
@@ -156,7 +152,7 @@ def build_comparison_doc(entries: dict, shape, timesteps: int) -> dict:
     shape."""
     doc: dict = {"experiment": "sql_pushdown",
                  "shape": list(shape), "timesteps": timesteps,
-                 "threshold": entries["legacy-eager"]["threshold"],
+                 "threshold": entries[BASELINE]["threshold"],
                  "configs": {}}
     reference = None
     for name in SQL_CONFIGS:
@@ -166,15 +162,12 @@ def build_comparison_doc(entries: dict, shape, timesteps: int) -> dict:
         entry = dict(entries[name]["entry"])
         entry["identical_results"] = results == reference
         doc["configs"][name] = entry
-    eager = doc["configs"]["legacy-eager"]
-    planner = doc["configs"]["planner"]
+    plain = doc["configs"][BASELINE]
     pushed = doc["configs"]["planner+pushdown"]
-    doc["twin_delta"] = abs(
-        eager["sim_seconds"] - planner["sim_seconds"])
     doc["bytes_reduction"] = (
-        eager["bytes_scanned"] / pushed["bytes_scanned"]
+        plain["bytes_scanned"] / pushed["bytes_scanned"]
         if pushed["bytes_scanned"] else float("inf"))
-    doc["speedup"] = (eager["sim_seconds"] / pushed["sim_seconds"]
+    doc["speedup"] = (plain["sim_seconds"] / pushed["sim_seconds"]
                       if pushed["sim_seconds"] else float("inf"))
     doc["identical_results"] = all(
         entry["identical_results"] for entry in doc["configs"].values())
@@ -195,19 +188,18 @@ def doc_rows(doc: dict):
     """(columns, rows, note) for a comparison document — shared by the
     CLI below and the campaign aggregation table."""
     columns = ["engine config", "sim seconds", "MB scanned",
-               "chunks read", "chunks pruned", "speedup vs eager"]
-    eager = doc["configs"]["legacy-eager"]["sim_seconds"]
+               "chunks read", "chunks pruned", f"speedup vs {BASELINE}"]
+    baseline = doc["configs"][BASELINE]["sim_seconds"]
     rows = [
         (name, round(entry["sim_seconds"], 5),
          round(entry["bytes_scanned"] / 1e6, 3),
          entry["chunks_read"], entry["chunks_pruned"],
-         round(eager / entry["sim_seconds"], 2))
+         round(baseline / entry["sim_seconds"], 2))
         for name, entry in doc["configs"].items()
     ]
     note = (f"Fig. 9-style selective QR scan over {doc['timesteps']} "
             f"NU-WRF "
             f"timesteps; bytes reduction {doc['bytes_reduction']:.1f}x, "
-            f"legacy-vs-planner twin delta {doc['twin_delta']:.2e}s, "
             f"identical results: {doc['identical_results']}; "
             f"simulated time, deterministic")
     return columns, rows, note
@@ -219,7 +211,7 @@ def sql_rows(shape=(8, 48, 48), timesteps: int = 2):
     return doc_rows(doc)
 
 
-__all__ = ["MIN_BYTES_REDUCTION", "SQL_CONFIGS", "TWIN_TOLERANCE",
+__all__ = ["BASELINE", "MIN_BYTES_REDUCTION", "SQL_CONFIGS",
            "build_comparison_doc", "build_sql_world", "doc_rows",
            "run_config", "selective_threshold", "serialize_frames",
            "sql_pushdown_result", "sql_rows"]

@@ -190,8 +190,8 @@ CAMPAIGNS: dict[str, CampaignDef] = {
         ),
         CampaignDef(
             name="sparklike",
-            description="lazy DAG engine configurations vs the frozen "
-                        "eager engine on the iterative wordcount",
+            description="sparklike fusion/cache configurations vs the "
+                        "default-knob engine on the iterative wordcount",
             worker="repro.bench.campaigns:sparklike_point",
             space=_sparklike_space,
             aggregate=_sparklike_aggregate,
@@ -200,8 +200,8 @@ CAMPAIGNS: dict[str, CampaignDef] = {
         ),
         CampaignDef(
             name="sql",
-            description="SQL planner pushdown configurations vs the "
-                        "frozen eager evaluator on NU-WRF scinc data",
+            description="SQL planner pushdown vs full-table scans on "
+                        "NU-WRF scinc data",
             worker="repro.bench.campaigns:sql_point",
             space=_sql_space,
             aggregate=_sql_aggregate,

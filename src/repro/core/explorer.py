@@ -44,20 +44,12 @@ class FileExplorer:
         self.client = client
         self.env = client.env
 
-    def explore(self, input_path: str, charge_io: bool = True,
-                header_cache: Optional[dict] = None):
+    def explore(self, input_path: str, charge_io: bool = True):
         """DES process returning a list of :class:`ExploredFile`.
 
         ``charge_io``: when True the header probes pay their PFS I/O time
         (a metadata RPC plus the probe reads). The functional parse uses
         the zero-time sync view — same bytes either way.
-
-        ``header_cache``: optional ``{path: ExploredFile}`` dict shared
-        across explorations. A hit reuses the parsed header and skips the
-        probe reads entirely — the "header read once per file, cached"
-        discipline the SQL planner relies on. Opt-in (None keeps the
-        historical charge-per-exploration behaviour the golden timings
-        pin).
         """
         paths = yield self.env.process(self.client.listdir(input_path))
         if not paths:
@@ -68,9 +60,6 @@ class FileExplorer:
                 return []
         explored: list[ExploredFile] = []
         for path in sorted(paths):
-            if header_cache is not None and path in header_cache:
-                explored.append(header_cache[path])
-                continue
             inode = self.client.pfs.mds.lookup(path)
             if charge_io:
                 probe = min(_PROBE_BYTES, inode.size)
@@ -89,9 +78,6 @@ class FileExplorer:
                     if remaining > 0:
                         yield self.env.process(self.client.read(
                             path, _PROBE_BYTES, remaining))
-            entry = ExploredFile(
-                path=path, size=inode.size, format=fmt, header=header)
-            if header_cache is not None:
-                header_cache[path] = entry
-            explored.append(entry)
+            explored.append(ExploredFile(
+                path=path, size=inode.size, format=fmt, header=header))
         return explored

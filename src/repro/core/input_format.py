@@ -28,8 +28,7 @@ __all__ = ["SciDPInputFormat"]
 class SciDPInputFormat:
     def __init__(self, scidp, variables: Optional[list[str]] = None,
                  granularity: Optional[int] = None,
-                 delegate=None, max_inflight: Optional[int] = None,
-                 chunk_filter=None, filter_key: Optional[str] = None):
+                 delegate=None, max_inflight: Optional[int] = None):
         """``scidp``: the :class:`repro.core.runtime.SciDP` runtime.
         ``variables``: variable-level subset for scientific inputs.
         ``granularity``: per-request read size (None = whole block, the
@@ -37,17 +36,12 @@ class SciDPInputFormat:
         ``delegate``: input format for non-PFS paths (TextInputFormat
         by default).
         ``max_inflight``: the readers' bounded request window (None =
-        costs.PFS_MAX_INFLIGHT; 1 = strictly serial).
-        ``chunk_filter``/``filter_key``: chunk-level mapping-time pruning
-        (see :meth:`repro.core.runtime.SciDP.map_input`) — splits are
-        only generated for chunks the filter keeps."""
+        costs.PFS_MAX_INFLIGHT; 1 = strictly serial)."""
         self.scidp = scidp
         self.variables = variables
         self.granularity = granularity
         self.delegate = delegate or TextInputFormat()
         self.max_inflight = max_inflight
-        self.chunk_filter = chunk_filter
-        self.filter_key = filter_key
 
     # -- splits ------------------------------------------------------------
     def get_splits(self, job, storage, client):
@@ -58,9 +52,7 @@ class SciDPInputFormat:
             scheme, pfs_path = split_url(path)
             if scheme and scheme == self.scidp.pfs_scheme:
                 mapped = yield client.env.process(self.scidp.map_input(
-                    pfs_path, variables=self.variables,
-                    chunk_filter=self.chunk_filter,
-                    filter_key=self.filter_key))
+                    pfs_path, variables=self.variables))
                 for virtual_path, blocks in mapped:
                     for i, block in enumerate(blocks):
                         splits.append(InputSplit(

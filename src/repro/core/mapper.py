@@ -124,8 +124,7 @@ class DataMapper:
         return base
 
     def map_files(self, explored: list[ExploredFile],
-                  variables: Optional[list[str]] = None,
-                  chunk_filter=None, path_suffix: str = ""):
+                  variables: Optional[list[str]] = None):
         """DES process returning list[MappedFile].
 
         ``variables`` subsets scientific files at the variable level
@@ -133,22 +132,13 @@ class DataMapper:
         path. Unrelated variables are skipped entirely, which also keeps
         the mapping table small ("minimize the time to build the mapping
         table", §III-B).
-
-        ``chunk_filter``: optional ``(VariableIndex, ChunkRecord) ->
-        bool`` predicate over a scientific variable's chunks; chunks it
-        rejects get no dummy block, so their bytes never leave the PFS —
-        the hook the SQL planner's zone-map pruning drives. Filtered
-        mappings must pass a distinguishing ``path_suffix`` (appended to
-        each virtual path) so they don't collide with — or get wrongly
-        reused by — the unfiltered mapping of the same file in the
-        Virtual Mapping Table.
         """
         mapped: list[MappedFile] = []
         for source in explored:
             record = MappedFile(source=source)
             if source.is_scientific:
                 yield from self._map_scientific(
-                    source, variables, record, chunk_filter, path_suffix)
+                    source, variables, record)
             else:
                 yield from self._map_flat(source, record)
             mapped.append(record)
@@ -181,13 +171,10 @@ class DataMapper:
         return var.name in variables or var.path in variables
 
     def _variable_blocks(self, source: ExploredFile,
-                         var: VariableIndex,
-                         chunk_filter=None) -> list[VirtualBlock]:
+                         var: VariableIndex) -> list[VirtualBlock]:
         data_start = source.header.data_start
         blocks: list[VirtualBlock] = []
         for rec in var.chunks:
-            if chunk_filter is not None and not chunk_filter(var, rec):
-                continue
             slices = var.chunk_slices(rec.index)
             start = tuple(s.start for s in slices)
             count = tuple(s.stop - s.start for s in slices)
@@ -228,21 +215,17 @@ class DataMapper:
 
     def _map_scientific(self, source: ExploredFile,
                         variables: Optional[list[str]],
-                        record: MappedFile,
-                        chunk_filter=None, path_suffix: str = ""):
+                        record: MappedFile):
         assert source.header is not None
         for var_path in source.header.variable_paths():
             var = source.header.variable(var_path)
             if not self._selected(var, variables):
                 continue
-            virtual_path = self._mirror_path(
-                source.path, var.path) + path_suffix
+            virtual_path = self._mirror_path(source.path, var.path)
             if virtual_path in self.table:  # reuse across jobs (§III-A.2)
                 record.virtual_paths.append(virtual_path)
                 continue
-            blocks = self._variable_blocks(source, var, chunk_filter)
-            if chunk_filter is not None and not blocks:
-                continue  # every chunk pruned: no virtual file at all
+            blocks = self._variable_blocks(source, var)
             yield from self.namenode.rpc()
             self.namenode.create_virtual_file(virtual_path, blocks)
             self.table.register(virtual_path, source, var.path)

@@ -71,33 +71,18 @@ class SciDP:
 
     # -- mapping -----------------------------------------------------------
     def map_input(self, pfs_path: str,
-                  variables: Optional[list[str]] = None,
-                  chunk_filter=None, filter_key: Optional[str] = None,
-                  header_cache: Optional[dict] = None):
+                  variables: Optional[list[str]] = None):
         """Explore + map one PFS input path. DES process returning
         ``[(virtual_path, [BlockInfo, ...]), ...]``. Cached: repeated jobs
         over the same input reuse the Virtual Mapping Table.
-
-        ``chunk_filter`` prunes individual variable chunks at mapping
-        time (see :meth:`DataMapper.map_files`); it must come with a
-        ``filter_key`` naming the predicate, which suffixes the virtual
-        paths (``...@key``) and keys the mapping cache so differently
-        filtered mappings of the same input never alias. ``header_cache``
-        optionally shares parsed headers across explorations
-        (see :meth:`FileExplorer.explore`).
         """
-        if chunk_filter is not None and not filter_key:
-            raise ValueError("chunk_filter requires a filter_key")
-        key = (pfs_path, tuple(sorted(variables)) if variables else None,
-               filter_key)
+        key = (pfs_path, tuple(sorted(variables)) if variables else None)
         if key in self._mapped:
             return self._mapped[key]
         explorer = FileExplorer(self.pfs_client(self.nodes[0]))
-        explored = yield self.env.process(explorer.explore(
-            pfs_path, header_cache=header_cache))
+        explored = yield self.env.process(explorer.explore(pfs_path))
         mapped = yield self.env.process(self.mapper.map_files(
-            explored, variables=variables, chunk_filter=chunk_filter,
-            path_suffix=f"@{filter_key}" if filter_key else ""))
+            explored, variables=variables))
         entries = []
         for record in mapped:
             for virtual_path in record.virtual_paths:
@@ -110,13 +95,11 @@ class SciDP:
     def input_format(self, variables: Optional[list[str]] = None,
                      granularity: Optional[int] = None,
                      delegate=None,
-                     max_inflight: Optional[int] = None,
-                     chunk_filter=None,
-                     filter_key: Optional[str] = None) -> SciDPInputFormat:
+                     max_inflight: Optional[int] = None
+                     ) -> SciDPInputFormat:
         return SciDPInputFormat(
             self, variables=variables, granularity=granularity,
-            delegate=delegate, max_inflight=max_inflight,
-            chunk_filter=chunk_filter, filter_key=filter_key)
+            delegate=delegate, max_inflight=max_inflight)
 
     def rmr_session(self, master_node=None):
         """An rmr2-style session whose jobs run on this deployment."""

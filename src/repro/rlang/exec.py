@@ -1,13 +1,14 @@
-"""Physical execution of logical plans over DataFrames (ISSUE 9).
+"""Physical execution of logical plans over DataFrames.
 
 The executor runs on the kernels of :mod:`repro.rlang.sqldf`: the
 vectorized expression evaluators (``_eval`` / ``_eval_aggregate``) and
 the three relational kernels built on one key factorisation
-(``_group_frames`` / ``_hash_join`` / ``_distinct_rows``). The
-randomized equivalence suite pins it to the frozen eager evaluator on
-NaN-free keys; ``tests/rlang/test_relational_kernels.py`` checks the
-kernels against ``sqlite3`` and brute force. What the planner adds on
-top:
+(``_group_frames`` / ``_hash_join`` / ``_distinct_rows``). Frame
+content is checked against ``sqlite3`` and brute force
+(``tests/rlang/test_relational_kernels.py``,
+``tests/rlang/test_planner_equivalence.py``); row order against
+goldens recorded from the retired eager evaluator. What the planner
+adds on top:
 
 - scans are materialized through a ``resolve`` callback, so the same
   plan runs over in-memory frames (:func:`run_query`) or over
@@ -15,7 +16,9 @@ top:
   *before* bytes move (:mod:`repro.rlang.session`);
 - GROUP BY and ORDER BY names resolve through SELECT aliases;
 - unknown-column errors are :class:`SQLError` and list the available
-  columns instead of surfacing a bare ``KeyError``.
+  columns instead of surfacing a bare ``KeyError``; a comparison or
+  arithmetic between a string column and a number is a one-line
+  :class:`SQLError`, not numpy's ``TypeError``.
 """
 
 from __future__ import annotations
@@ -59,19 +62,23 @@ from repro.rlang.sqldf import (
 __all__ = ["execute", "frame_scan", "plan_query", "run_query"]
 
 
-def _eval_cols(expr: Expr, frame: DataFrame, n: int) -> np.ndarray:
-    """``_eval`` with unknown columns surfaced as SQLError + listing."""
+def _checked(evaluate, expr: Expr, frame: DataFrame, n: int) -> Any:
+    """Run an evaluator with unknown columns and operand-type
+    mismatches surfaced as one-line SQLErrors."""
     try:
-        return _eval(expr, frame, n)
+        return evaluate(expr, frame, n)
     except KeyError as exc:
         raise SQLError(f"unknown column: {exc.args[0]}") from None
+    except TypeError as exc:
+        raise SQLError(f"type mismatch in expression: {exc}") from None
+
+
+def _eval_cols(expr: Expr, frame: DataFrame, n: int) -> np.ndarray:
+    return _checked(_eval, expr, frame, n)
 
 
 def _eval_aggregate_cols(expr: Expr, frame: DataFrame, n: int) -> Any:
-    try:
-        return _eval_aggregate(expr, frame, n)
-    except KeyError as exc:
-        raise SQLError(f"unknown column: {exc.args[0]}") from None
+    return _checked(_eval_aggregate, expr, frame, n)
 
 
 def frame_scan(frame: DataFrame, columns: Optional[list[str]],
@@ -209,24 +216,25 @@ def execute(root: PlanNode,
     return run(root)
 
 
-def _frame_bytes(frame: DataFrame, columns: Optional[list[str]]) -> float:
-    names = frame.names if columns is None else columns
-    return float(sum(frame[name].nbytes for name in names
-                     if name in frame))
-
-
 def plan_query(query: Query, schemas: dict[str, list[str]],
-               estimate: Optional[Callable[[Scan], float]] = None,
-               optimize: bool = True,
-               broadcast_bytes: float = _opt.BROADCAST_BYTES) -> PlanNode:
+               optimize: bool = True) -> PlanNode:
     """Lower + validate + (optionally) optimize a parsed query.
 
     ``schemas`` maps every table the query references to its column
     list. Column references that resolve against no table and no SELECT
     alias raise :class:`SQLError` here, *before* any pushdown prunes the
-    scans — so the error can list the real available columns.
+    scans — so the error can list the real available columns. Two SELECT
+    items with one output name are an error too: a frame holds one
+    column per name, so the second would silently replace the first.
     """
     node = lower(query)
+    names: set = set()
+    for i, item in enumerate(query.items):
+        name = _item_name(item, i)
+        if name in names:
+            raise SQLError(
+                f"duplicate output column {name!r}; give one an alias")
+        names.add(name)
     needed, needs_all = query_columns(query)
     if not needs_all:
         available = sorted({c for cols in schemas.values() for c in cols})
@@ -242,9 +250,7 @@ def plan_query(query: Query, schemas: dict[str, list[str]],
             raise SQLError(
                 f"unknown column {name!r}; have {available}")
     if optimize:
-        node = _opt.optimize(node, query, dict(schemas),
-                             estimate=estimate,
-                             broadcast_bytes=broadcast_bytes)
+        node = _opt.optimize(node, query, dict(schemas))
     return node
 
 
@@ -252,8 +258,8 @@ def run_query(query: Query, frames: dict[str, DataFrame],
               optimize: bool = True) -> DataFrame:
     """Plan + execute a parsed query over in-memory frames.
 
-    ``optimize=False`` executes the plain lowered plan — the planner
-    twin of the frozen eager evaluator, with no pushdown rewrites.
+    ``optimize=False`` executes the plain lowered plan, with no
+    pushdown rewrites; both settings return the same frame.
     """
     tables = {scan.table for scan in plan_scans(lower(query))}
     for name in tables:
@@ -261,12 +267,7 @@ def run_query(query: Query, frames: dict[str, DataFrame],
             raise SQLError(
                 f"unknown table {name!r}; have {sorted(frames)}")
     schemas = {name: list(frames[name].names) for name in tables}
-
-    def estimate(scan: Scan) -> float:
-        return _frame_bytes(frames[scan.table], scan.columns)
-
-    node = plan_query(query, schemas, estimate=estimate,
-                      optimize=optimize)
+    node = plan_query(query, schemas, optimize=optimize)
     return execute(
         node,
         lambda scan: frame_scan(frames[scan.table], scan.columns,

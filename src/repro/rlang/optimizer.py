@@ -1,6 +1,5 @@
 """Rewrite passes over logical plans: projection + predicate pushdown,
-interval extraction for zone-map chunk pruning, and the cost-based join
-strategy (ISSUE 9).
+and interval extraction for zone-map chunk pruning.
 
 Soundness rules, because pruning bugs are silent wrong answers:
 
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.rlang.plan import (
     Filter,
@@ -50,17 +49,12 @@ from repro.rlang.sqldf import (
 from repro.rlang.plan import query_columns
 
 __all__ = [
-    "BROADCAST_BYTES",
     "Interval",
     "chunk_matches",
     "column_intervals",
     "optimize",
     "scan_constraints",
 ]
-
-#: build-side byte estimate at or below which a join is annotated as a
-#: map-side broadcast hash join rather than a repartition join
-BROADCAST_BYTES = 8 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -221,21 +215,14 @@ def chunk_matches(intervals: list[Interval], stats) -> bool:
 # --------------------------------------------------------------------------
 
 def optimize(root: PlanNode, query: Query,
-             schemas: dict[str, Optional[list[str]]],
-             estimate: Optional[Callable[[Scan], float]] = None,
-             broadcast_bytes: float = BROADCAST_BYTES) -> PlanNode:
+             schemas: dict[str, Optional[list[str]]]) -> PlanNode:
     """Run the rewrite passes in place and return the root.
 
     ``schemas`` maps table name -> column list (None = unknown: that
-    table gets no pushdown). ``estimate`` maps a (post-pushdown) Scan to
-    its byte estimate for the join cost model; None skips the pass.
+    table gets no pushdown).
     """
-    scans = plan_scans(root)
-    _push_projections(scans, query, schemas)
-    root = _push_predicates(root, schemas)
-    if estimate is not None:
-        _choose_join_strategies(root, estimate, broadcast_bytes)
-    return root
+    _push_projections(plan_scans(root), query, schemas)
+    return _push_predicates(root, schemas)
 
 
 def _push_projections(scans: list[Scan], query: Query,
@@ -294,36 +281,3 @@ def _push_predicates(root: PlanNode,
         return root.child
     root.predicate = rest
     return root
-
-
-def _join_subtree_bytes(node: PlanNode,
-                        estimate: Callable[[Scan], float]) -> float:
-    return sum(estimate(scan) for scan in plan_scans(node))
-
-
-def _choose_join_strategies(root: PlanNode,
-                            estimate: Callable[[Scan], float],
-                            broadcast_bytes: float) -> None:
-    """Annotate each join with broadcast-vs-repartition and build side.
-
-    The annotations record what a distributed engine would do —
-    broadcast the small side when it fits, else repartition — and are
-    shown by ``explain``; the in-process executor has a single join
-    kernel, so they cannot change the output.
-    """
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Scan):
-            continue
-        if isinstance(node, Join):
-            left_bytes = _join_subtree_bytes(node.left, estimate)
-            right_bytes = estimate(node.right)
-            small = min(left_bytes, right_bytes)
-            node.strategy = ("broadcast" if small <= broadcast_bytes
-                             else "repartition")
-            node.build_side = "right" if right_bytes <= left_bytes \
-                else "left"
-            stack.append(node.left)
-            continue
-        stack.append(node.child)

@@ -1,4 +1,4 @@
-"""Logical query plans for `sqldf` — lowering the AST (ISSUE 9).
+"""Logical query plans for `sqldf` — lowering the AST.
 
 :func:`lower` turns a parsed :class:`~repro.rlang.sqldf.Query` into a
 tree of logical operators::
@@ -7,14 +7,12 @@ tree of logical operators::
                                    | [SortSource] -> Project -> [Distinct] )
           -> [Limit]
 
-The node order mirrors the frozen eager evaluator exactly — the planner
-is a *representation* change; semantics only move when the optimizer
-rewrites the tree (projection/predicate pushdown, join strategy), and
-those rewrites are proven result-identical by the randomized
-equivalence suite. Scans carry the two pushdown slots the optimizer
-fills in: ``columns`` (projection pruning — ``None`` = every column)
-and ``predicate`` (conjuncts applied at scan time, before the plan's
-residual ``Filter``).
+Lowering fixes the node order above; the optimizer's rewrites
+(projection/predicate pushdown) never change a result — the equivalence
+suite holds pushed == plain on names, values and row order. Scans carry
+the two pushdown slots the optimizer fills in: ``columns`` (projection
+pruning — ``None`` = every column) and ``predicate`` (conjuncts applied
+at scan time, before the plan's residual ``Filter``).
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ from repro.rlang.sqldf import (
     Like,
     Query,
     SelectItem,
+    SQLError,
     UnaryOp,
     _has_aggregate,
     _item_name,
@@ -76,19 +75,13 @@ class Scan:
 
 @dataclass
 class Join:
-    """Inner equi-join (``JOIN ... USING``) of ``left`` onto ``right``.
-
-    ``strategy``/``build_side`` are the cost model's annotations,
-    shown by ``explain``. The executor has one join kernel and reads
-    neither: output rows are always in (left row ascending, right row
-    ascending) pair order.
-    """
+    """Inner equi-join (``JOIN ... USING``) of ``left`` onto ``right``;
+    output rows are in (left row ascending, right row ascending) pair
+    order."""
 
     left: "PlanNode"
     right: Scan
     using: list[str]
-    strategy: str = "hash"      # "hash" | "broadcast" | "repartition"
-    build_side: str = "right"
 
 
 @dataclass
@@ -157,7 +150,7 @@ PlanNode = Union[Scan, Join, Filter, Aggregate_, SortOutput, SortSource,
 
 
 def lower(query: Query) -> PlanNode:
-    """AST -> logical plan, mirroring the eager evaluation order."""
+    """AST -> logical plan, in the module docstring's node order."""
     node: PlanNode = Scan(query.table)
     for join in query.joins:
         node = Join(node, Scan(join.table), list(join.using))
@@ -171,6 +164,9 @@ def lower(query: Query) -> PlanNode:
         if query.order_by:
             node = SortOutput(node, list(query.order_by))
     else:
+        if query.having is not None:
+            raise SQLError(
+                "HAVING needs a GROUP BY clause or an aggregate")
         if query.order_by:
             node = SortSource(node, list(query.order_by), query.items)
         node = Project(node, query.items, query.star)
@@ -276,8 +272,7 @@ def explain(node: PlanNode, indent: int = 0) -> str:
         pred = " pushed-predicate" if node.predicate is not None else ""
         return f"{pad}Scan {node.table} [{cols}]{pred}"
     if isinstance(node, Join):
-        return (f"{pad}Join using({','.join(node.using)}) "
-                f"{node.strategy}/build={node.build_side}\n"
+        return (f"{pad}Join using({','.join(node.using)})\n"
                 + explain(node.left, indent + 1) + "\n"
                 + explain(node.right, indent + 1))
     label = type(node).__name__.rstrip("_")

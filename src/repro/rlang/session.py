@@ -1,4 +1,4 @@
-"""SQL over SciDP-resident scinc files: the pushdown scan path (ISSUE 9).
+"""SQL over SciDP-resident scinc files: the pushdown scan path.
 
 :class:`SQLSession` runs `sqldf` queries whose tables live as scinc
 containers on the parallel file system. The planner's pushdown slots
@@ -20,12 +20,10 @@ Every skipped chunk is accounted (``io.read.pfs.skipped_*`` via
 so the Fig. 9-style bytes-scanned reduction is measurable, and each
 query emits ``sql.parse/plan/prune/scan/exec`` spans.
 
-Twin-world discipline: ``engine="legacy"`` materializes every referenced
-table in full — the same header + chunk reads, in the same order, as the
-planner with ``pushdown=False`` — then runs the frozen
-:func:`~repro.rlang._legacy.legacy_sqldf`. Identical reads + identical
-row-cost charge = identical simulated timings by construction, which the
-session tests pin at 1e-9.
+``pushdown=False`` is the baseline the pruning is measured against:
+every chunk of every selected variable of each referenced table is
+read, once, in scan order. Its simulated seconds are pinned at 1e-9 by
+a recorded golden (``tests/golden/rlang.json``).
 
 Layering: storage is reached only through :mod:`repro.io` (the registry
 hands back a client; its planner does the accounting) and the format
@@ -53,15 +51,10 @@ from repro.io.plan import ScanPlan
 from repro.io.registry import StorageRegistry
 from repro.obs.metrics import metrics_of
 from repro.obs.trace import tracer_of
-from repro.rlang._legacy import legacy_sqldf
 from repro.rlang.exec import execute, frame_scan, plan_query
 from repro.rlang.frame import DataFrame
-from repro.rlang.optimizer import (
-    BROADCAST_BYTES,
-    chunk_matches,
-    scan_constraints,
-)
-from repro.rlang.plan import Join, PlanNode, Scan, lower, plan_scans
+from repro.rlang.optimizer import chunk_matches, scan_constraints
+from repro.rlang.plan import PlanNode, Scan, lower, plan_scans
 from repro.rlang.sqldf import SQLError, parse
 
 __all__ = ["ScincTable", "SQLSession"]
@@ -132,24 +125,16 @@ class ScanInfo:
 class SQLSession:
     """Queries over registered frames and scinc-backed tables.
 
-    ``pushdown`` toggles the optimizer rewrites (the perf knob);
-    ``engine`` selects ``"planner"`` or the frozen ``"legacy"``
-    evaluator (the correctness/timing twin). Both default to the
-    planner with pushdown on.
+    ``pushdown`` toggles the optimizer rewrites (the perf knob, on by
+    default); off, every referenced table is read in full.
     """
 
     def __init__(self, env, registry: StorageRegistry, node,
-                 pushdown: bool = True, engine: str = "planner",
-                 broadcast_bytes: float = BROADCAST_BYTES,
-                 track: str = "sql"):
-        if engine not in ("planner", "legacy"):
-            raise ValueError(f"unknown engine {engine!r}")
+                 pushdown: bool = True, track: str = "sql"):
         self.env = env
         self.registry = registry
         self.node = node
         self.pushdown = pushdown
-        self.engine = engine
-        self.broadcast_bytes = broadcast_bytes
         self.track = track
         self.frames: dict[str, DataFrame] = {}
         self.tables: dict[str, ScincTable] = {}
@@ -371,15 +356,9 @@ class SQLSession:
                     else:
                         schemas[scan.table] = list(
                             self.frames[scan.table].names)
-                node = plan_query(
-                    query, schemas, estimate=self._estimate,
-                    optimize=(self.engine == "planner" and self.pushdown),
-                    broadcast_bytes=self.broadcast_bytes)
+                node = plan_query(query, schemas, optimize=self.pushdown)
 
-            if self.engine == "legacy":
-                result, rows = yield from self._run_legacy(sql, raw_scans)
-            else:
-                result, rows = yield from self._run_planner(node)
+            result, rows = yield from self._run_plan(node)
 
             with tracer.span("sql.exec", cat="sql", track=self.track):
                 yield self.env.timeout(
@@ -394,26 +373,7 @@ class SQLSession:
                             entry.variables_pruned)
             return result
 
-    def _estimate(self, scan: Scan) -> float:
-        if scan.table in self.frames:
-            frame = self.frames[scan.table]
-            names = frame.names if scan.columns is None else [
-                c for c in scan.columns if c in frame]
-            return float(sum(frame[c].nbytes for c in names))
-        table = self.tables[scan.table]
-        header, _size = self._headers[table.url]
-        n = int(np.prod(table.shape)) if table.shape else 0
-        total = 0.0
-        columns = table.schema if scan.columns is None else scan.columns
-        leaf = {p.rsplit("/", 1)[-1]: p for p in table.var_paths}
-        for col in columns:
-            if col in leaf:
-                total += header.variable(leaf[col]).nbytes
-            else:
-                total += 8 * n
-        return total
-
-    def _run_planner(self, node: PlanNode):
+    def _run_plan(self, node: PlanNode):
         materialized: dict[int, DataFrame] = {}
         shared: dict[tuple, DataFrame] = {}
         rows = 0
@@ -421,8 +381,7 @@ class SQLSession:
             if scan.table in self.frames:
                 frame = self.frames[scan.table]
             else:
-                # identical unpushed scans of one table read once, like
-                # the legacy evaluator's per-table materialization
+                # identical unpushed scans of one table read once
                 key = (scan.table,
                        tuple(scan.columns) if scan.columns is not None
                        else None)
@@ -456,30 +415,3 @@ class SQLSession:
 
         result = execute(node, resolve)
         return result, rows
-
-    def _run_legacy(self, sql: str, raw_scans: list[Scan]):
-        """The frozen evaluator over fully materialized tables.
-
-        Reads every chunk of every selected variable of each referenced
-        scinc table, once, in scan order — exactly what the planner does
-        with ``pushdown=False`` — so the two engines are timing twins.
-        """
-        frames = dict(self.frames)
-        rows = 0
-        seen: set[str] = set()
-        for scan in raw_scans:
-            if scan.table in frames:
-                rows += frames[scan.table].nrow
-                continue
-            if scan.table in seen:
-                rows += frames[scan.table].nrow
-                continue
-            seen.add(scan.table)
-            info = ScanInfo(table=scan.table,
-                            columns=list(self.tables[scan.table].schema))
-            self.last_scan_info.append(info)
-            full = Scan(scan.table)  # no pushdown: all columns, chunks
-            frame = yield from self._materialize(full, info)
-            frames[scan.table] = frame
-            rows += frame.nrow
-        return legacy_sqldf(sql, frames), rows

@@ -686,14 +686,11 @@ def sqldf(sql: str, frames: dict[str, DataFrame],
           optimize: bool = True) -> DataFrame:
     """Run ``sql`` against the named data frames; returns a DataFrame.
 
-    Since ISSUE 9 this routes through the logical planner
-    (:mod:`repro.rlang.plan` / :mod:`repro.rlang.exec`):
-    lower the AST, run projection/predicate pushdown when ``optimize``
-    is on, and execute with this module's vectorized kernels. The
-    pre-planner eager evaluator is frozen verbatim as
-    :func:`repro.rlang._legacy.legacy_sqldf` and the randomized
-    equivalence suite pins all three paths to identical frames
-    (on NaN-free keys: the frozen twin keeps NaN != NaN).
+    Routes through the logical planner (:mod:`repro.rlang.plan` /
+    :mod:`repro.rlang.exec`): lower the AST, run projection/predicate
+    pushdown when ``optimize`` is on, and execute with this module's
+    vectorized kernels. ``optimize`` never changes the result — names,
+    values and row order are the same either way.
     """
     from repro.rlang.exec import run_query  # lazy: avoids import cycle
 

@@ -16,11 +16,6 @@ paper's integration story for a second framework.
     peaks = (rdd.map(lambda kv: (kv[0][1], float(kv[1].max())))
                 .reduce_by_key(max)
                 .collect())
-
-The frozen v1 eager engine lives in :mod:`repro.sparklike._legacy`
-(import guarded by the layering lint: tests and benches only) as the
-twin-world reference — a default-knob v2 context reproduces its event
-trace at 1e-9.
 """
 
 from repro.sparklike.cache import MEMORY_AND_DISK, MEMORY_ONLY

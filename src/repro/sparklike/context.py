@@ -1,10 +1,11 @@
 """The Spark-like driver: context knobs, sources, actions, recovery.
 
-The v2 context records lineage only; actions go through the DAG
-scheduler (:mod:`repro.sparklike.scheduler`). Every knob beyond the
-frozen v1 surface defaults OFF so a default-constructed context
-reproduces the legacy engine's event trace exactly (pinned at 1e-9 by
-the twin-world tests):
+The context records lineage only; actions go through the DAG
+scheduler (:mod:`repro.sparklike.scheduler`). The three optimisation
+knobs default OFF; the default-knob event trace is the baseline the
+bench speed-ups are quoted against, pinned at 1e-9 by per-action
+timestamps recorded from the retired eager engine
+(``tests/golden/sparklike.json``):
 
 ``fusion=True``
     fuse narrow map/filter/flat_map chains into one per-partition pass
@@ -213,6 +214,8 @@ class Context:
     # -- sources ------------------------------------------------------------
     def parallelize(self, data: list,
                     n_partitions: Optional[int] = None) -> RDD:
+        if n_partitions is not None and n_partitions < 0:
+            raise SparkLikeError("n_partitions must be >= 1")
         return _ParallelRDD(self, list(data),
                             n_partitions or self.default_parallelism)
 

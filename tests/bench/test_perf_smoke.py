@@ -73,6 +73,21 @@ GOLDEN_WRITE = {
     ("windowed + write-behind", "pfs://"): 3.814728367708541,
 }
 
+#: sql / sparklike benches, quick size: simulated seconds per config.
+#: The baseline rows (``planner``, ``lazy``) carry the numbers the
+#: retired eager-twin rows did — recorded from the frozen engine twins
+#: at commit 8ce2ee3, where CI held the two equal to 1e-9.
+GOLDEN_SQL_QUICK = {
+    "planner": 0.061493869999999985,
+    "planner+pushdown": 0.008979540625,
+}
+GOLDEN_SPARKLIKE_QUICK = {
+    "lazy": 0.16444920000000002,
+    "lazy+fusion": 0.12394920000000001,
+    "lazy+cache": 0.09502920000000002,
+    "lazy+fusion+cache": 0.09052920000000002,
+}
+
 REL = 1e-9
 
 
@@ -143,3 +158,18 @@ def test_pipelined_datapath_beats_serial():
     assert prefetched[2] < serial[2]   # prefetch shortens the map phase
     assert windowed[2] < chopped[2]    # window beats serial chopped reads
     assert windowed[1] < chopped[1]
+
+
+def test_sql_and_sparklike_bench_baselines_reproduce_golden():
+    from repro.bench.sparkbench import sparklike_result
+    from repro.bench.sqlbench import sql_pushdown_result
+
+    for doc, goldens in (
+            (sql_pushdown_result(shape=(8, 32, 32), timesteps=1),
+             GOLDEN_SQL_QUICK),
+            (sparklike_result(n_lines=400, iterations=3),
+             GOLDEN_SPARKLIKE_QUICK)):
+        assert doc["identical_results"]
+        got = {name: entry["sim_seconds"]
+               for name, entry in doc["configs"].items()}
+        assert got == pytest.approx(goldens, rel=REL)

@@ -1,27 +1,40 @@
-"""Pushdown-equivalence suite: the planner is observably the frozen
-eager evaluator.
+"""Pushdown-equivalence suite: rewrites never change a result, and the
+result is right.
 
-Every query runs through three engines —
+Every query is held to three things, none of which needs a second
+engine:
 
-- :func:`repro.rlang._legacy.legacy_sqldf`, the frozen eager evaluator,
-- the planner with rewrites off (``sqldf(..., optimize=False)``),
-- the planner with projection/predicate pushdown on (the default) —
+- pushed == plain: the planner with projection/predicate pushdown on
+  (the default) and with rewrites off (``sqldf(..., optimize=False)``)
+  return the same frame — column names, values, row order;
+- content == ``sqlite3``: the rows, as a multiset, are what stdlib
+  sqlite returns for the same SQL over the same tables (the harness of
+  ``test_relational_kernels.py``; a LIMIT is checked as a prefix of the
+  unlimited result, since SQL leaves *which* rows a LIMIT keeps open);
+- row order == golden: the frame equals, value for value and row for
+  row, the one the retired eager evaluator returned at the same seeds
+  (``tests/golden/rlang.json``).
 
-and all three must produce identical frames (same column names, same
-dtypes-visible values, same row order). A seeded generator covers ~20
-randomized shapes (filters, joins, aggregates, DISTINCT, ORDER BY,
-LIMIT); targeted cases pin the satellites: GROUP BY / ORDER BY may
-reference SELECT aliases, and unknown-column errors list the available
-columns.
+A seeded generator covers ~20 randomized shapes (filters, joins,
+aggregates, DISTINCT, ORDER BY, LIMIT); targeted cases pin the
+satellites: GROUP BY / ORDER BY may reference SELECT aliases, and
+unknown-column errors list the available columns.
 """
 
 import random
+import re
 
 import numpy as np
 import pytest
 
-from repro.rlang import SQLError, data_frame, sqldf
-from repro.rlang._legacy import legacy_sqldf
+from repro.rlang import SQLError, data_frame, parse, sqldf
+from repro.rlang.exec import plan_query
+from repro.rlang.plan import explain
+
+from tests.golden import load_golden
+from tests.rlang.test_relational_kernels import assert_matches_sqlite
+
+GOLDEN = load_golden("rlang")
 
 
 def make_frames(seed=0, n=40):
@@ -48,13 +61,17 @@ def assert_same(a, b):
         np.testing.assert_array_equal(a[name], b[name])
 
 
-def run_all_engines(sql, frames):
-    eager = legacy_sqldf(sql, frames)
-    plain = sqldf(sql, frames, optimize=False)
+def check_query(sql, frames, golden):
     pushed = sqldf(sql, frames)
-    assert_same(plain, eager)
-    assert_same(pushed, eager)
-    return eager
+    assert_same(sqldf(sql, frames, optimize=False), pushed)
+    assert pushed.names == list(golden[sql])
+    assert pushed.to_dict() == golden[sql]
+    limit = re.search(r" LIMIT (\d+)$", sql)
+    unlimited = sql[:limit.start()] if limit else sql
+    assert_matches_sqlite(unlimited, frames)
+    if limit:
+        assert_same(sqldf(unlimited, frames).head(int(limit.group(1))),
+                    pushed)
 
 
 # ------------------------------------------------------ randomized suite
@@ -97,7 +114,7 @@ def _generated_queries(seed=2026, count=20):
 
 @pytest.mark.parametrize("sql", _generated_queries())
 def test_generated_query_equivalence(sql):
-    run_all_engines(sql, make_frames())
+    check_query(sql, make_frames(), GOLDEN["generated"])
 
 
 def test_generated_queries_cover_the_plan_space():
@@ -128,15 +145,36 @@ def test_generated_queries_cover_the_plan_space():
     "SELECT x, y FROM t WHERE x NOT BETWEEN 3 AND 8 ORDER BY y",
 ])
 def test_targeted_query_equivalence(sql):
-    run_all_engines(sql, make_frames(seed=7))
+    check_query(sql, make_frames(seed=7), GOLDEN["targeted"])
 
 
 def test_self_join_shared_scan():
     frames = make_frames(seed=3, n=12)
     frames["t2"] = frames["t"]
-    run_all_engines(
+    check_query(
         "SELECT grp FROM t JOIN u USING (k) ORDER BY grp LIMIT 9",
-        frames)
+        frames, GOLDEN["self_join"])
+
+
+def test_explain_shows_pruned_columns_and_pushed_predicate():
+    query = parse("SELECT label, y FROM t JOIN u USING (k) "
+                  "WHERE x > 4 AND w < 3.0")
+    schemas = {name: frame.names
+               for name, frame in make_frames().items()}
+    assert explain(plan_query(query, schemas)).splitlines() == [
+        "Project",
+        "  Join using(k)",
+        "    Scan t [x,y,k] pushed-predicate",
+        "    Scan u [k,label,w] pushed-predicate",
+    ]
+    assert explain(plan_query(query, schemas, optimize=False)
+                   ).splitlines() == [
+        "Project",
+        "  Filter",
+        "    Join using(k)",
+        "      Scan t [*]",
+        "      Scan u [*]",
+    ]
 
 
 # -------------------------------------------------------- alias satellite

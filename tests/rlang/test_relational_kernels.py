@@ -1,5 +1,5 @@
 """The array-level relational kernels behind GROUP BY, JOIN USING and
-DISTINCT (ISSUE 12), checked without the frozen evaluator:
+DISTINCT, checked against oracles that share no code with them:
 
 - a differential test against stdlib ``sqlite3`` on seeded random
   frames (int, float, string and NULL/NaN keys; one- and two-column
@@ -73,9 +73,11 @@ def frame_rows(frame):
 def sqlite_rows(sql, frames):
     """Run ``sql`` on sqlite3 tables holding the same rows. Columns are
     declared without a type, so sqlite applies no affinity conversion:
-    the text '1' stays different from the number 1, as in the frames."""
+    the text '1' stays different from the number 1, as in the frames;
+    LIKE is made case-sensitive, as ours is."""
     db = sqlite3.connect(":memory:")
     try:
+        db.execute("PRAGMA case_sensitive_like=ON")
         for table, frame in frames.items():
             db.execute(f"CREATE TABLE {table} ({', '.join(frame.names)})")
             marks = ", ".join("?" * frame.ncol)
@@ -281,7 +283,9 @@ def test_zero_row_frames_and_join_sides():
 
 
 def test_build_side_annotation_cannot_change_join_rows():
-    # the big side on the right makes the planner annotate build=left
+    # the big side on the right: there is one join kernel and no
+    # build-side choice, so pair order is (left asc, right asc) whatever
+    # the relative sizes
     rng = np.random.default_rng(7)
     frames = {"s": data_frame(k=rng.integers(0, 5, 12), v=np.arange(12)),
               "b": data_frame(k=rng.integers(0, 5, 300), w=np.arange(300))}

@@ -192,3 +192,39 @@ def test_join_errors():
         sqldf("SELECT * FROM a JOIN b USING (k)", frames2)
     with pytest.raises(SQLError, match="unknown table"):
         sqldf("SELECT * FROM a JOIN ghost USING (k)", frames)
+
+
+# ------------------- inputs with no right answer are one-line SQLErrors
+def assert_one_line_sql_error(sql, frames, match):
+    for optimize in (True, False):
+        with pytest.raises(SQLError, match=match) as info:
+            sqldf(sql, frames, optimize=optimize)
+        assert "\n" not in str(info.value)
+
+
+def test_having_without_group_by_or_aggregate_rejected(frames):
+    # sqlite3: "a GROUP BY clause is required before HAVING"; ignoring
+    # the clause instead would return every row
+    assert_one_line_sql_error(
+        "SELECT x FROM t HAVING x > 1", frames, "HAVING needs a GROUP BY")
+    # an aggregate without GROUP BY is one group, and HAVING filters it
+    out = sqldf("SELECT COUNT(*) AS n FROM t HAVING COUNT(*) > 1", frames)
+    assert out["n"].tolist() == [6]
+
+
+def test_duplicate_output_column_rejected(frames):
+    # a frame holds one column per name: the second item would replace
+    # the first and a one-column frame come back
+    assert_one_line_sql_error(
+        "SELECT x AS a, grp AS a FROM t", frames,
+        "duplicate output column 'a'")
+    assert_one_line_sql_error(
+        "SELECT x, x FROM t", frames, "duplicate output column 'x'")
+
+
+def test_string_column_against_number_is_sql_error(frames):
+    # numpy's bare TypeError must not escape
+    assert_one_line_sql_error(
+        "SELECT x FROM t WHERE grp > 1", frames, "type mismatch")
+    assert_one_line_sql_error(
+        "SELECT grp + 1 AS g FROM t", frames, "type mismatch")

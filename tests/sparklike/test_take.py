@@ -48,6 +48,13 @@ def test_take_negative_raises():
         ctx.parallelize(range(7), 3).take(-1)
 
 
+def test_parallelize_negative_partitions_raises():
+    # an RDD with no partitions would silently collect() to []
+    ctx, _ = make_ctx()
+    with pytest.raises(SparkLikeError, match="n_partitions must be >= 1"):
+        ctx.parallelize([1, 2], -1)
+
+
 def test_take_cheaper_than_collect():
     def elapsed(action):
         ctx, _ = make_ctx()
