@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,16 +83,27 @@ def _quantize(field_data: np.ndarray, keep_bits: int) -> np.ndarray:
     return (bits & mask).view(np.float32)
 
 
+@lru_cache(maxsize=4)
+def _axis_grids(shape: tuple[int, int, int]):
+    """Broadcastable altitude / longitude / latitude coordinate grids —
+    the same for every variable and timestep of one shape, so built once
+    and shared read-only."""
+    z, y, x = shape
+    zz = np.linspace(0, 1, z, dtype=np.float32)[:, None, None]
+    yy = np.linspace(0, 2 * np.pi, y, dtype=np.float32)[None, :, None]
+    xx = np.linspace(0, 2 * np.pi, x, dtype=np.float32)[None, None, :]
+    for grid in (zz, yy, xx):
+        grid.setflags(write=False)
+    return zz, yy, xx
+
+
 def _smooth_field(rng: np.random.Generator,
                   shape: tuple[int, int, int],
                   step: int) -> np.ndarray:
     """A spatially smooth, temporally drifting field: a few random Fourier
     modes plus a vertical profile — looks like weather, compresses like
     weather."""
-    z, y, x = shape
-    zz = np.linspace(0, 1, z, dtype=np.float32)[:, None, None]
-    yy = np.linspace(0, 2 * np.pi, y, dtype=np.float32)[None, :, None]
-    xx = np.linspace(0, 2 * np.pi, x, dtype=np.float32)[None, None, :]
+    zz, yy, xx = _axis_grids(tuple(shape))
     out = np.zeros(shape, dtype=np.float32)
     for _mode in range(4):
         ky, kx = rng.integers(1, 4, size=2)

@@ -16,11 +16,7 @@ added on top of processing, exactly as the paper presents Fig. 5.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
 
 from repro import costs
 from repro.cluster import Cluster
@@ -31,6 +27,7 @@ from repro.cluster.spec import (
 )
 from repro.core import SciDP
 from repro.formats import scinc
+from repro.formats.text import encode_csv_block
 from repro.hdfs import HDFS
 from repro.mapreduce import BytesInputFormat, JobConf, JobRunner
 from repro.pfs import PFS, PFSClient, StripeLayout
@@ -102,24 +99,6 @@ class SolutionResult:
         return self.copy_time + self.process_time
 
 
-def _level_text(level: np.ndarray, var_id: int = 0,
-                name: str = "QR") -> bytes:
-    """CSV dump of one level in the fast numeric format."""
-    flat = level.reshape(-1)
-    ys, xs = np.unravel_index(np.arange(flat.size), level.shape)
-    parts = [
-        np.char.mod("%d", np.full(flat.size, var_id)),
-        np.char.mod("%d", ys),
-        np.char.mod("%d", xs),
-        np.char.mod("%.8e", flat.astype(np.float64)),
-    ]
-    rows = parts[0]
-    for part in parts[1:]:
-        rows = np.char.add(np.char.add(rows, ","), part)
-    return (f"#vars:{name}\n").encode() + \
-        "\n".join(rows.tolist()).encode() + b"\n"
-
-
 def build_world(n_timesteps: int = 12,
                 shape: tuple[int, int, int] = (8, 48, 48),
                 n_nodes: int = 8,
@@ -184,19 +163,18 @@ def _convert_to_text(world: ExperimentWorld) -> None:
     per timestamp (the manual partitioning PortHadoop requires,
     §III-A.2), stored back on the PFS with zero simulated time. The
     modelled duration is recorded but never counted (§V-A)."""
-    converted_bytes = 0
+    header = f"#vars:{world.variable}\n".encode()
     source_bytes = 0
     for path in world.manifest["files"]:
         reader = scinc.Reader(world.pfs.open_sync(path))
         data = reader.get_vara("/" + world.variable)
         base = path.rsplit("/", 1)[-1]
         for z in range(data.shape[0]):
-            text = _level_text(data[z], name=world.variable)
             text_path = (f"{world.text_dir}/{base}/"
                          f"{world.variable}_L{z:02d}.csv")
-            world.pfs.store_file(text_path, text)
+            world.pfs.store_file(text_path,
+                                 header + encode_csv_block(data[z]))
             world.text_files.append(text_path)
-            converted_bytes += len(text)
         source_bytes += world.pfs.mds.lookup(path).size
     world.conversion_time = (
         source_bytes / costs.FORMAT_CONVERT_BYTES_PER_SEC)
