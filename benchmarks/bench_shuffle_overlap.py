@@ -4,8 +4,8 @@ Four configurations of the Fig. 9-style SQL aggregation job isolate the
 three shuffle mechanisms: the event-driven copy phase (reducers launch
 at the first committed map output instead of the map barrier), the
 map-side combiner (folds (count, sum) partial aggregates before they
-cross the network), and the bounded streaming merge (spills keep reduce
-memory flat at the cost of extra passes).
+cross the network), and the bounded merge (``shuffle_merge_factor`` caps
+the merge width at the cost of extra spill passes).
 
 The winning numbers are persisted to ``bench_results/BENCH_shuffle.json``
 so the perf trajectory is comparable across commits; CI uploads the same
@@ -19,7 +19,7 @@ import time
 
 from repro.bench.harness import shuffle_overlap_rows
 from repro.mapreduce._legacy import legacy_hash_partition
-from repro.mapreduce.shuffle import hash_partition
+from repro.mapreduce.shuffle import hash_partition, hash_partition_many
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / \
     "bench_results"
@@ -43,7 +43,7 @@ def test_shuffle_overlap_trajectory(benchmark, record_table):
     # collapses by the fold factor.
     assert combined[1] < overlap[1] < legacy[1]
     assert combined[3] < legacy[3] / 4
-    # The bounded merge pays spill passes for flat reduce memory.
+    # The bounded merge pays spill passes for its capped merge width.
     assert bounded[5] > 0
     assert bounded[3] == combined[3]
 
@@ -58,22 +58,36 @@ def test_shuffle_overlap_trajectory(benchmark, record_table):
 
 def test_hash_partition_vectorized_fold(benchmark):
     """The vectorized 31-fold is bit-identical to the scalar reference
-    and worth the numpy round trip on shuffle-sized keys."""
+    and worth the numpy round trip on shuffle-sized keys; the batch call
+    folds a whole run of short keys in one matrix product."""
     rng = random.Random(20260806)
     keys = [
         bytes(rng.randrange(256)
               for _ in range(rng.randrange(64, 4096)))
         for _ in range(400)
     ]
-    for key in keys:
-        assert hash_partition(key, 1 << 20) == \
-            legacy_hash_partition(key, 1 << 20)
+    # terasort-shaped run: what one map task hands the partitioner
+    short_keys = [bytes(rng.randrange(65, 91) for _ in range(10))
+                  for _ in range(8000)]
+    for run in (keys, short_keys):
+        legacy = [legacy_hash_partition(k, 1 << 20) for k in run]
+        assert [hash_partition(k, 1 << 20) for k in run] == legacy
+        assert hash_partition_many(run, 1 << 20) == legacy
 
     benchmark.pedantic(
         lambda: [hash_partition(k, 1 << 20) for k in keys],
         rounds=3, iterations=1)
 
-    t0 = time.perf_counter()
-    [legacy_hash_partition(k, 1 << 20) for k in keys]
-    legacy_ms = (time.perf_counter() - t0) * 1e3
-    print(f"\nscalar byte-fold over {len(keys)} keys: {legacy_ms:.1f} ms")
+    def ms(fn):
+        t0 = time.perf_counter()
+        fn()
+        return (time.perf_counter() - t0) * 1e3
+
+    for label, run in (("long", keys), ("10-byte", short_keys)):
+        legacy_ms = ms(lambda: [legacy_hash_partition(k, 1 << 20)
+                                for k in run])
+        per_key_ms = ms(lambda: [hash_partition(k, 1 << 20) for k in run])
+        batch_ms = ms(lambda: hash_partition_many(run, 1 << 20))
+        print(f"\n{len(run)} {label} keys: scalar byte-fold "
+              f"{legacy_ms:.1f} ms, per-key {per_key_ms:.1f} ms, "
+              f"batch {batch_ms:.1f} ms")

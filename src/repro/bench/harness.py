@@ -490,7 +490,7 @@ def fig9_rows(sizes: Sequence[int] = (12, 24, 48),
 
 
 # --------------------------------------------------------------------------
-# Shuffle — overlapped copy phase, map-side combiner, streaming merge
+# Shuffle — overlapped copy phase, map-side combiner, bounded merge
 # --------------------------------------------------------------------------
 
 def _sqlagg_mapper(cell: int = 8):

@@ -73,7 +73,7 @@ class JobConf:
     shuffle_fetch_attempts: int = 1
     #: reduce-side merge width (Hadoop's io.sort.factor): more runs
     #: than this are merged to intermediate spills on local disk first.
-    #: 0 = single unbounded streaming merge pass.
+    #: 0 = one unbounded merge pass.
     shuffle_merge_factor: int = 0
     #: write-behind output commit: task output writes (reduce parts,
     #: mapper ctx.write files, diskless spills) are handed to an async

@@ -12,15 +12,14 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.mapreduce.config import JobConf
+from repro.mapreduce.config import JobConf, MapReduceError
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.input_format import InputSplit
 from repro.mapreduce.shuffle import (
-    estimate_size,
+    estimate_records,
     group_sorted,
-    group_sorted_stream,
-    hash_partition,
-    merge_sorted_streams,
+    merge_sorted_runs,
+    partition_run,
     sort_run,
 )
 from repro.obs.metrics import metrics_of
@@ -196,6 +195,17 @@ class MapOutputFeed:
         return self._arrival
 
 
+def _ordered(job: JobConf, task_id: str, sort, records):
+    """``sort(records)``; keys Python cannot order become a one-line
+    engine error instead of a bare ``TypeError`` out of the DES."""
+    try:
+        return sort(records)
+    except TypeError as exc:
+        raise MapReduceError(
+            f"job {job.name!r} task {task_id}: shuffle keys cannot be "
+            f"ordered: {exc}") from None
+
+
 class MapTask:
     """Executes one split: read → map → partition/sort(/combine) → spill."""
 
@@ -279,19 +289,13 @@ class MapTask:
                 with ctx.phase(phase):
                     yield env.timeout(seconds)
 
-            n_parts = max(1, job.n_reducers)
-            partitions: list[list[tuple[Any, Any]]] = [
-                [] for _ in range(n_parts)]
-            for key, value in ctx.take_output():
-                partitions[hash_partition(key, n_parts)].append((key, value))
-            for p in range(n_parts):
-                partitions[p] = sort_run(partitions[p])
+            partitions = partition_run(
+                ctx.take_output(), max(1, job.n_reducers))
+            for p, run in enumerate(partitions):
+                partitions[p] = _ordered(job, self.task_id, sort_run, run)
                 if job.combiner is not None:
                     partitions[p] = self._combine(ctx, partitions[p])
-            sizes = [
-                sum(estimate_size(k) + estimate_size(v) for k, v in part)
-                for part in partitions
-            ]
+            sizes = [estimate_records(part) for part in partitions]
 
             spill = sum(sizes)
             if spill and job.reducer is not None:
@@ -327,7 +331,8 @@ class MapTask:
         # Combiner compute is charged with the map's other charges.
         for phase, seconds in combined.take_charges().items():
             ctx.charge(seconds, phase)
-        out = sort_run(combined.take_output())
+        out = _ordered(
+            self.job, self.task_id, sort_run, combined.take_output())
         ctx.counters.increment("shuffle", "combine_input_records", len(run))
         ctx.counters.increment("shuffle", "combine_output_records", len(out))
         return out
@@ -348,7 +353,8 @@ class ReduceTask:
       outputs commit, at most ``shuffle_parallel_copies`` in flight,
       each with per-source retry/backoff.
 
-    The merge is always the streaming k-way merge;
+    Fetched runs are lists, so the merge is one stable sort over their
+    concatenation (:func:`~repro.mapreduce.shuffle.merge_sorted_runs`);
     ``shuffle_merge_factor`` bounds its width with intermediate spill
     passes charged to the local disk, Hadoop's ``io.sort.factor``.
     """
@@ -446,10 +452,9 @@ class ReduceTask:
         with ctx.phase("merge"):
             while len(runs) > factor:
                 batch, runs = runs[:factor], runs[factor:]
-                merged = list(merge_sorted_streams(batch))
-                spill = sum(
-                    estimate_size(k) + estimate_size(v)
-                    for k, v in merged)
+                merged = _ordered(
+                    job, self.task_id, merge_sorted_runs, batch)
+                spill = estimate_records(merged)
                 if spill:
                     if job.diskless_spill:
                         yield self.env.process(self.client.write(
@@ -497,10 +502,10 @@ class ReduceTask:
             if job.shuffle_merge_factor >= 2 \
                     and len(runs) > job.shuffle_merge_factor:
                 runs = yield from self._merge_spills(ctx, runs)
+            merged = _ordered(job, self.task_id, merge_sorted_runs, runs)
 
             n_groups = 0
-            for key, values in group_sorted_stream(
-                    merge_sorted_streams(runs)):
+            for key, values in group_sorted(merged):
                 n_groups += 1
                 job.reducer(ctx, key, values)
             ctx.counters.increment("reduce", "groups", n_groups)

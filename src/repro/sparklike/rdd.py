@@ -15,7 +15,8 @@ from typing import Any, Callable, Optional
 
 from repro.mapreduce.shuffle import (
     group_sorted,
-    hash_partition,
+    merge_sorted_runs,
+    partition_run,
     sort_run,
 )
 from repro.sparklike.cache import MEMORY_AND_DISK, MEMORY_ONLY
@@ -303,29 +304,31 @@ class _ShuffledRDD(RDD):
     def partition_locations(self, index: int) -> list[str]:
         return []  # reducer-side partitions have no locality
 
+    def _ordered(self, sort, records) -> list:
+        try:
+            return sort(records)
+        except TypeError as exc:
+            raise SparkLikeError(
+                f"shuffle into RDD {self._id}: keys cannot be ordered: "
+                f"{exc}") from None
+
     def map_side_partition(self, records: list) -> list[list]:
         """Hash-partition (and optionally combine) one map partition."""
-        buckets: list[list] = [[] for _ in range(self.n_partitions)]
-        for key, value in records:
-            buckets[hash_partition(key, self.n_partitions)].append(
-                (key, value))
+        buckets = partition_run(records, self.n_partitions)
         if self.combiner is not None:
             for i, bucket in enumerate(buckets):
-                combined = []
-                for key, values in group_sorted(sort_run(bucket)):
-                    combined.append((key, _fold(values, self.combiner)))
-                buckets[i] = combined
+                buckets[i] = [
+                    (key, _fold(values, self.combiner))
+                    for key, values in group_sorted(
+                        self._ordered(sort_run, bucket))]
         return buckets
 
     def merge(self, runs: list[list]) -> list:
-        merged = sort_run([kv for run in runs for kv in run])
-        out = []
-        for key, values in group_sorted(merged):
-            if self.combiner is not None:
-                out.append((key, _fold(values, self.combiner)))
-            else:
-                out.append((key, values))
-        return out
+        groups = group_sorted(self._ordered(merge_sorted_runs, runs))
+        if self.combiner is None:
+            return list(groups)
+        return [(key, _fold(values, self.combiner))
+                for key, values in groups]
 
     def compute(self, index: int, task):
         """Fetch this partition's shuffle bucket from every map output."""

@@ -207,6 +207,39 @@ def test_job_validation_errors():
                 input_paths=["/x"]).validate()
 
 
+@pytest.mark.parametrize("side, text", [
+    ("map sort", b"both keys from one map\n"),
+    # block size is 200 B: one line per split, so one key per map and
+    # every map-side sort succeeds on its own
+    ("reduce merge", b"x" * 199 + b"\n" + b"second split\n"),
+])
+def test_unorderable_keys_fail_the_job_in_one_line(world, side, text):
+    """Keys of one type that Python cannot order — (1, "a") beside
+    ("a", 1) — end the job with a one-line MapReduceError naming the
+    job, the task and the two types, not a traceback out of the DES."""
+    env, cluster, hdfs, nodes = world
+    hdfs.store_file_sync("/in/keys.txt", text)
+
+    def clashing_mapper(ctx, offset, _line):
+        if side == "map sort" or offset == 0:
+            ctx.emit((1, "a"), 0)
+        if side == "map sort" or offset > 0:
+            ctx.emit(("a", 1), 0)
+
+    job = make_job(name="clash", mapper=clashing_mapper, combiner=None,
+                   n_reducers=1, max_task_attempts=2,
+                   task_retry_backoff=0.01)
+    runner = JobRunner(env, nodes, hdfs, cluster.network, job)
+    with pytest.raises(MapReduceError) as caught:
+        run(env, runner.run())
+    message = str(caught.value)
+    assert "\n" not in message
+    assert "job 'clash' task " in message
+    assert "'int'" in message and "'str'" in message
+    kind = "map task" if side == "map sort" else "reduce partition 0"
+    assert message.startswith(kind) and "failed 2 times" in message
+
+
 def test_bytes_input_format_whole_blocks(world):
     env, cluster, hdfs, nodes = world
     data = bytes(range(256)) * 3  # 768 bytes -> 4 blocks of <=200

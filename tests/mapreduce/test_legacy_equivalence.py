@@ -20,9 +20,12 @@ from repro.mapreduce._legacy import (
     legacy_hash_partition,
     legacy_merge_sorted_runs,
 )
+from repro.mapreduce import shuffle
 from repro.mapreduce.shuffle import (
+    estimate_records,
     estimate_size,
     hash_partition,
+    hash_partition_many,
     merge_sorted_runs,
     sort_run,
 )
@@ -111,6 +114,115 @@ def test_estimate_size_shared_substructure_counted_like_legacy():
     shared = [b"payload"]
     obj = [shared, shared]  # a DAG, not a cycle: both copies count
     assert estimate_size(obj) == legacy_estimate_size(obj)
+
+
+# ------------------------------------------- run-at-a-time batch calls
+
+class TaggedBytes(bytes):
+    """A ``bytes`` subclass: must take the scalar fallback, not the
+    exact-type matrix fold."""
+
+
+def _random_bytes(rng, n):
+    return bytes(rng.randrange(256) for _ in range(n))
+
+
+def key_sets(rng):
+    """Named key runs covering every branch of the batch partitioner."""
+    edge = shuffle._VECTOR_MIN_BYTES
+    yield "empty run", []
+    yield "zero-length keys only", [b"", b""]
+    yield "fixed width", [_random_bytes(rng, 10) for _ in range(300)]
+    yield "lengths straddling the scalar/vector edge", [
+        _random_bytes(rng, rng.randrange(0, 2 * edge)) for _ in range(300)
+    ] + [b"", _random_bytes(rng, edge - 1), _random_bytes(rng, edge),
+         _random_bytes(rng, edge + 1)]
+    yield "keys over 255 bytes", [
+        _random_bytes(rng, rng.choice([1, 255, 256, 257, 700, 3000]))
+        for _ in range(60)]
+    yield "leading and all-zero bytes", [
+        b"\0", b"\0\0a", b"a", b"\0" * 40, b"\0" * 40 + b"a", b"\xff" * 64]
+    yield "non-ASCII str", ["".join(
+        chr(rng.choice([rng.randrange(32, 127), rng.randrange(0xA0, 0x2FF),
+                        rng.randrange(0x4E00, 0x4F00), 0x1F600]))
+        for _ in range(rng.randrange(0, 50))) for _ in range(200)] + [""]
+    yield "ints", [rng.randrange(-2**40, 2**40) for _ in range(100)]
+    yield "tuples", [(rng.randrange(9), _random_bytes(rng, 4), "x")
+                     for _ in range(100)]
+    yield "mixed types", [random_key(rng) for _ in range(300)]
+    yield "bytes and str mixed", [b"ab", "ab", b"", ""]
+    yield "bytes subclass", [TaggedBytes(b"abc"), TaggedBytes(b"x" * 80)]
+    yield "bytes subclass among bytes", [b"abc", TaggedBytes(b"abc")]
+    yield "more keys than one matrix", [
+        _random_bytes(rng, rng.randrange(0, 12))
+        for _ in range(2 * shuffle._BATCH_ROWS + 17)]
+    # one long key makes the padded slice too big: scalar fold per key
+    yield "padding over the cell budget", [
+        _random_bytes(rng, 3) for _ in range(shuffle._BATCH_ROWS - 1)
+    ] + [_random_bytes(rng, 1 + shuffle._BATCH_CELLS
+                       // shuffle._BATCH_ROWS)]
+
+
+@pytest.mark.parametrize("seed", [11, 20260928])
+def test_batch_partition_matches_legacy_fold_per_key(seed):
+    rng = random.Random(seed)
+    for name, keys in key_sets(rng):
+        for n in [1, 4, 7, 1009, 0x7FFFFFFF]:
+            assert hash_partition_many(keys, n) == [
+                legacy_hash_partition(key, n) for key in keys], (name, n)
+
+
+def test_partition_run_keeps_record_order_inside_each_bucket():
+    rng = random.Random(8)
+    records = [(_random_bytes(rng, 6), i) for i in range(500)]
+    buckets = shuffle.partition_run(records, 5)
+    assert [
+        [kv for kv in records if legacy_hash_partition(kv[0], 5) == p]
+        for p in range(5)] == buckets
+
+
+def _random_runs(rng, make_key):
+    return [
+        sort_run([(make_key(), rng.randrange(10))
+                  for _ in range(rng.randrange(0, 14))])
+        for _ in range(rng.randrange(0, 7))]
+
+
+@pytest.mark.parametrize("seed", [2, 99])
+def test_batch_merge_matches_legacy_merge_record_for_record(seed):
+    """Duplicate keys inside and across runs (stability), empty runs,
+    one-type and mixed-type runs."""
+    rng = random.Random(seed)
+    makers = [
+        lambda: rng.choice([b"a", b"b", b"bb", b""]),
+        lambda: rng.randrange(4),
+        lambda: rng.choice([1, "1", b"1", 2, "b", (1, "x"), (1, "y")]),
+    ]
+    for make_key in makers:
+        for _ in range(60):
+            runs = _random_runs(rng, make_key)
+            merged = merge_sorted_runs(runs)
+            assert merged == legacy_merge_sorted_runs(runs)
+            assert merged == list(shuffle.merge_sorted_streams(runs))
+    assert merge_sorted_runs([]) == []
+    assert merge_sorted_runs([[], []]) == []
+
+
+def test_estimate_records_is_the_sum_of_legacy_sizes():
+    rng = random.Random(17)
+    values = [None, True, 7, 1.5, "s\u00e9", b"xy", bytearray(b"abc"),
+              [b"ab", 3], {"k": (1, 2)}, TaggedBytes(b"abcd")]
+    columns = [
+        lambda: _random_bytes(rng, rng.randrange(0, 40)),   # all bytes
+        lambda: rng.choice(values),                         # anything
+    ]
+    for make_key in columns:
+        for make_value in columns:
+            for n in [0, 1, 50]:
+                records = [(make_key(), make_value()) for _ in range(n)]
+                assert estimate_records(records) == sum(
+                    legacy_estimate_size(k) + legacy_estimate_size(v)
+                    for k, v in records)
 
 
 # ------------------------------------------------- twin-world job runs

@@ -9,6 +9,7 @@ from repro.mapreduce.shuffle import (
     estimate_size,
     group_sorted,
     hash_partition,
+    hash_partition_many,
     merge_sorted_runs,
     sort_run,
 )
@@ -29,6 +30,32 @@ def test_hash_partition_spreads_keys():
 def test_hash_partition_validates():
     with pytest.raises(ValueError):
         hash_partition("k", 0)
+    for keys in ([b"k"], [1], []):
+        with pytest.raises(ValueError):
+            hash_partition_many(keys, 0)
+
+
+@pytest.mark.parametrize("plain, boxed", [
+    (1.5, np.float64(1.5)),
+    (0.1, np.float64(0.1)),
+    (2.5, np.float32(2.5)),
+    (-0.0, np.float64(-0.0)),
+    (1e300, np.float64(1e300)),
+    (True, np.bool_(True)),
+    (False, np.bool_(False)),
+    (7, np.int64(7)),
+])
+def test_equal_python_and_numpy_keys_share_a_partition(plain, boxed):
+    """One reduce group must not be split across reducers (nor depend
+    on which numpy wrote the scalar's repr)."""
+    assert plain == boxed
+    for n in (4, 8, 1009):
+        assert hash_partition(boxed, n) == hash_partition(plain, n)
+        assert hash_partition((1, boxed), n) == hash_partition((1, plain), n)
+        assert hash_partition(((boxed,), "k"), n) == \
+            hash_partition(((plain,), "k"), n)
+        assert hash_partition_many([plain, boxed, (1, boxed)], n) == \
+            [hash_partition(plain, n)] * 2 + [hash_partition((1, plain), n)]
 
 
 def test_sort_run_stable_by_key():
@@ -62,6 +89,15 @@ def test_estimate_size_basics():
     assert estimate_size(np.zeros((2, 3), dtype=np.float32)) == 24
     assert estimate_size([b"ab", b"cd"]) == 8 + 4
     assert estimate_size({"k": 1}) == 8 + 1 + 8
+
+
+def test_estimate_size_never_reads_a_repr_for_numpy_bool_or_memoryview():
+    # repr is 'np.True_' on numpy 2 and 'True' on numpy 1: neither is a size
+    assert estimate_size(np.bool_(True)) == estimate_size(True) == 1
+    assert estimate_size(np.bool_(False)) == 1
+    assert estimate_size(memoryview(b"abc")) == 3
+    assert estimate_size(memoryview(np.zeros(5, dtype=np.float64))) == 40
+    assert estimate_size((np.bool_(True), memoryview(b"ab"))) == 8 + 1 + 2
 
 
 def test_estimate_size_self_referencing_list_terminates():
@@ -105,6 +141,27 @@ def test_group_sorted_stream_matches_list_grouping():
     assert list(group_sorted_stream(iter(records))) == \
         list(group_sorted(records))
     assert list(group_sorted_stream(iter([]))) == []
+
+
+def test_nan_keys_never_group_even_when_identical():
+    """``k == key`` is False for NaN, also for one NaN object against
+    itself; a grouping that short-cuts on identity would merge them."""
+    nan = float("nan")
+    records = [(1.0, "a"), (1.0, "b"), (nan, "c"), (nan, "d"),
+               (float("nan"), "e")]
+    for source in (records, iter(records)):
+        grouped = list(group_sorted(source))
+        assert [values for _key, values in grouped] == \
+            [["a", "b"], ["c"], ["d"], ["e"]]
+
+
+def test_unorderable_keys_of_one_type_raise_type_error():
+    """The shuffle leaves Python's error alone; the engines wrap it."""
+    records = [((1, "a"), 0), (("a", 1), 1)]
+    with pytest.raises(TypeError, match="'int' and 'str'|'str' and 'int'"):
+        sort_run(records)
+    with pytest.raises(TypeError):
+        merge_sorted_runs([records[:1], records[1:]])
 
 
 def test_merge_sorted_streams_is_lazy():

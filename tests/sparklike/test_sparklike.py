@@ -289,3 +289,22 @@ def test_cached_scidp_rdd_second_action_cheaper():
     rdd.count()
     warm = ctx.env.now - t1
     assert warm < cold  # no PFS reads the second time
+
+
+@pytest.mark.parametrize("shuffle", ["reduce_by_key", "group_by_key"])
+def test_unorderable_shuffle_keys_raise_one_line_error(shuffle):
+    """(1, "a") beside ("a", 1): with a combiner the map-side sort
+    meets them, without one the reduce-side merge does."""
+    ctx, _ = make_ctx()
+    pairs = ctx.parallelize([((1, "a"), 1), (("a", 1), 1)], 1)
+    if shuffle == "reduce_by_key":
+        rdd = pairs.reduce_by_key(lambda a, b: a + b, 1)
+    else:
+        rdd = pairs.group_by_key(1)
+    with pytest.raises(SparkLikeError, match="keys cannot be ordered") \
+            as caught:
+        rdd.collect()
+    message = str(caught.value)
+    assert "\n" not in message
+    assert f"RDD {rdd._id}" in message
+    assert "'int'" in message and "'str'" in message
