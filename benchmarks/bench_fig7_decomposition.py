@@ -7,8 +7,7 @@ essentially equal across the parallel solutions, slightly lower for the
 contention-free naive run.
 
 Phase durations are aggregated from the per-task spans that
-``TaskContext.phase`` records (``repro.obs``); the legacy
-``IntervalTimer`` totals remain as a cross-check shim.
+``TaskContext.phase`` records (``repro.obs``).
 """
 
 from repro.bench.harness import fig7_rows

@@ -18,7 +18,6 @@ import random
 import time
 
 from repro.bench.harness import shuffle_overlap_rows
-from repro.mapreduce._legacy import legacy_hash_partition
 from repro.mapreduce.shuffle import hash_partition, hash_partition_many
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / \
@@ -57,9 +56,9 @@ def test_shuffle_overlap_trajectory(benchmark, record_table):
 
 
 def test_hash_partition_vectorized_fold(benchmark):
-    """The vectorized 31-fold is bit-identical to the scalar reference
-    and worth the numpy round trip on shuffle-sized keys; the batch call
-    folds a whole run of short keys in one matrix product."""
+    """The batch call folds a whole run of short keys in one matrix
+    product and agrees with the per-key fold (both are held to the
+    scalar reference by ``tests/mapreduce/test_legacy_equivalence.py``)."""
     rng = random.Random(20260806)
     keys = [
         bytes(rng.randrange(256)
@@ -70,9 +69,8 @@ def test_hash_partition_vectorized_fold(benchmark):
     short_keys = [bytes(rng.randrange(65, 91) for _ in range(10))
                   for _ in range(8000)]
     for run in (keys, short_keys):
-        legacy = [legacy_hash_partition(k, 1 << 20) for k in run]
-        assert [hash_partition(k, 1 << 20) for k in run] == legacy
-        assert hash_partition_many(run, 1 << 20) == legacy
+        assert hash_partition_many(run, 1 << 20) == \
+            [hash_partition(k, 1 << 20) for k in run]
 
     benchmark.pedantic(
         lambda: [hash_partition(k, 1 << 20) for k in keys],
@@ -84,10 +82,7 @@ def test_hash_partition_vectorized_fold(benchmark):
         return (time.perf_counter() - t0) * 1e3
 
     for label, run in (("long", keys), ("10-byte", short_keys)):
-        legacy_ms = ms(lambda: [legacy_hash_partition(k, 1 << 20)
-                                for k in run])
         per_key_ms = ms(lambda: [hash_partition(k, 1 << 20) for k in run])
         batch_ms = ms(lambda: hash_partition_many(run, 1 << 20))
-        print(f"\n{len(run)} {label} keys: scalar byte-fold "
-              f"{legacy_ms:.1f} ms, per-key {per_key_ms:.1f} ms, "
+        print(f"\n{len(run)} {label} keys: per-key {per_key_ms:.1f} ms, "
               f"batch {batch_ms:.1f} ms")

@@ -8,7 +8,7 @@ as campaign points (one per config, ``workers=0``)
 and the comparison document is folded from the workspace records. All
 timings are simulated seconds, so the ratio is deterministic on any
 runner. CI uploads ``bench_results/BENCH_sparklike.json`` next to
-BENCH_shuffle/BENCH_write/BENCH_obs/BENCH_simscale.
+BENCH_shuffle/BENCH_write/BENCH_simscale.
 """
 
 from repro.bench.sparkbench import BASELINE, MIN_SPEEDUP

@@ -22,12 +22,6 @@ from repro.bench.reporting import print_table
 from repro.obs import TraceSession
 
 
-def _obs_overhead_rows(**kwargs):
-    # lazy: the obs bench is pure recording, no simulation harness
-    from repro.bench.obsbench import obs_overhead_rows
-    return obs_overhead_rows(**kwargs)
-
-
 def _simscale_rows(**kwargs):
     # lazy: the engine bench drives bare events, no figure harness
     from repro.bench.simscale import simscale_rows
@@ -59,7 +53,6 @@ EXPERIMENTS = {
     "shuffle": (harness.shuffle_overlap_rows, {}, {"n_timesteps": 4}),
     "write": (harness.write_path_rows, {},
               {"n_files": 2, "blocks_per_file": 2}),
-    "obs": (_obs_overhead_rows, {}, {"n_events": 50_000, "repeats": 1}),
     "simscale": (_simscale_rows, {},
                  {"n_tasks": 1000, "n_jobs": 4, "repeats": 1}),
     "sparklike": (_sparklike_rows, {},

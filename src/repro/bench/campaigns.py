@@ -23,15 +23,15 @@ __all__ = ["simscale_point", "smoke_point", "sparklike_point",
 
 
 def simscale_point(statepoint: dict) -> dict:
-    """One engine's cluster-scale throughput measurement.
+    """The engine's cluster-scale throughput measurement.
 
-    State point: ``engine`` ("legacy"/"live"), ``n_nodes``,
-    ``n_tasks``, ``n_jobs``, ``seed``, ``repeats``.
+    State point: ``n_nodes``, ``n_tasks``, ``n_jobs``, ``seed``,
+    ``repeats``.
     """
-    from repro.bench.simscale import run_engine
+    from repro.bench.simscale import run_live
 
-    return run_engine(
-        statepoint["engine"], n_nodes=statepoint["n_nodes"],
+    return run_live(
+        n_nodes=statepoint["n_nodes"],
         n_tasks=statepoint["n_tasks"], n_jobs=statepoint["n_jobs"],
         seed=statepoint["seed"], repeats=statepoint["repeats"])
 
@@ -81,10 +81,9 @@ def smoke_point(statepoint: dict) -> dict:
     import time
 
     from repro.bench.simscale import run_world
-    from repro.sim.engine import Environment, Interrupt
 
     measurements = run_world(
-        Environment(), Interrupt, n_nodes=statepoint["n_nodes"],
+        n_nodes=statepoint["n_nodes"],
         n_tasks=statepoint["n_tasks"], n_jobs=statepoint["n_jobs"],
         seed=statepoint["seed"])
     stall = float(statepoint.get("stall_s", 0.0))

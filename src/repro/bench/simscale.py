@@ -1,11 +1,8 @@
-"""Simulator throughput at cluster scale: frozen legacy engine vs live.
+"""Simulator throughput at cluster scale.
 
 The workload is a 256-node, multi-job synthetic cluster run expressed
 purely through the generic engine surface (``event`` / ``timeout`` /
-``process`` / ``all_of`` / ``any_of`` / ``interrupt``), so the *same*
-driver runs unchanged on :class:`repro.sim._legacy.LegacyEnvironment`
-(the frozen pre-PR-7 engine) and the live
-:class:`repro.sim.engine.Environment`. Shape, per task:
+``process`` / ``all_of`` / ``any_of`` / ``interrupt``). Shape, per task:
 
 - claim a per-node slot gate (bounded slots per node, FIFO, URGENT
   grants — the Resource idiom);
@@ -18,17 +15,16 @@ Every task also registers a *speculative backup* process parked on one
 run-wide cancellation gate (the global cancel-token idiom); when all
 jobs have drained, the driver reaps the whole speculation pool
 youngest-first — the standard preemption order (most recently launched
-attempts wasted the least work). That is exactly the access pattern
-where the legacy engine's O(n) ``callbacks.remove`` detach goes
-quadratic on a wide fan-in: each interrupt scans a thousands-wide
-callback list to its tail, while the live engine tombstones the slot in
-O(1).
+attempts wasted the least work). That is the access pattern where an
+O(n) ``callbacks.remove`` detach goes quadratic on a wide fan-in: each
+interrupt would scan a thousands-wide callback list to its tail, while
+the engine tombstones the slot in O(1).
 
 Every run returns an order signature (a rolling digest over the exact
-completion sequence and clocks), so the harness asserts the two worlds
-popped events identically before any throughput number is trusted.
-Event counts are the number of scheduler insertions (identical across
-worlds by construction).
+completion sequence and clocks); together with the final clock and the
+event count it is pinned by ``tests/golden/sim.json``, so a throughput
+number is only ever quoted for the recorded event order. Event counts
+are the number of scheduler insertions.
 """
 
 from __future__ import annotations
@@ -39,8 +35,9 @@ import time
 import zlib
 from collections import deque
 
-__all__ = ["build_comparison_doc", "doc_rows", "run_engine",
-           "run_world", "simscale_result", "simscale_rows"]
+from repro.sim.engine import Environment, Interrupt
+
+__all__ = ["doc_rows", "run_live", "run_world", "simscale_rows"]
 
 #: paper-scale defaults: 256 nodes, 10k tasks across 10 jobs
 DEFAULT_NODES = 256
@@ -75,7 +72,7 @@ class _SlotGate:
 
 
 def _make_plan(n_nodes: int, n_tasks: int, n_jobs: int, seed: int):
-    """Precompute every random choice so both worlds see one schedule."""
+    """Every random choice of the run, drawn up front from ``seed``."""
     rng = random.Random(seed)
     per_job = n_tasks // n_jobs
     jobs = []
@@ -96,15 +93,12 @@ def _make_plan(n_nodes: int, n_tasks: int, n_jobs: int, seed: int):
     return jobs
 
 
-def run_world(env, interrupt_cls, n_nodes: int = DEFAULT_NODES,
+def run_world(n_nodes: int = DEFAULT_NODES,
               n_tasks: int = DEFAULT_TASKS, n_jobs: int = DEFAULT_JOBS,
               slots_per_node: int = 4, seed: int = 2024) -> dict:
-    """Drive the synthetic cluster run on ``env``; returns measurements.
-
-    ``interrupt_cls`` is the Interrupt exception type of the world's
-    engine (shared between legacy and live, but taken as a parameter so
-    the driver stays engine-agnostic).
-    """
+    """Drive the synthetic cluster run on a fresh environment; returns
+    measurements."""
+    env = Environment()
     plan = _make_plan(n_nodes, n_tasks, n_jobs, seed)
     gates = [_SlotGate(env, slots_per_node) for _ in range(n_nodes)]
     sig = zlib.crc32(b"simscale")
@@ -124,7 +118,7 @@ def run_world(env, interrupt_cls, n_nodes: int = DEFAULT_NODES,
     def backup(spec_gate):
         try:
             yield spec_gate
-        except interrupt_cls:
+        except Interrupt:
             yield env.timeout(0.0)       # cancelled: unwind bookkeeping
 
     # one run-wide cancellation gate: every speculative backup parks on
@@ -151,8 +145,7 @@ def run_world(env, interrupt_cls, n_nodes: int = DEFAULT_NODES,
                 proc.interrupt("run drained")
 
     env.process(driver())
-    # time the event loop alone: collector pauses would otherwise land
-    # on whichever engine happens to cross a GC threshold mid-run
+    # time the event loop alone, without collector pauses
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -163,7 +156,7 @@ def run_world(env, interrupt_cls, n_nodes: int = DEFAULT_NODES,
     finally:
         if gc_was_enabled:
             gc.enable()
-    n_events = env._seq  # scheduler insertions; identical across worlds
+    n_events = env._seq  # scheduler insertions
     return {
         "wall_seconds": wall,
         "sim_seconds": env.now,
@@ -183,95 +176,32 @@ def _best_of(factory, repeats: int) -> dict:
     return best
 
 
-def run_engine(engine: str, n_nodes: int = DEFAULT_NODES,
-               n_tasks: int = DEFAULT_TASKS, n_jobs: int = DEFAULT_JOBS,
-               seed: int = 2024, repeats: int = 2) -> dict:
-    """Best-of-``repeats`` measurements for one engine by name.
-
-    ``engine`` is ``"legacy"`` (the frozen pre-PR-7 engine) or
-    ``"live"``. Top-level and string-addressed so a campaign worker
-    process can run a single engine under spawn; the returned dict is
-    pure JSON data (the order signature included, so an aggregation
-    step can still assert the twin worlds popped events identically).
-    """
-    from repro.sim._legacy import LegacyEnvironment
-    from repro.sim.engine import Environment, Interrupt
-
-    if engine not in ("legacy", "live"):
-        raise ValueError(
-            f"unknown simscale engine {engine!r}; have legacy, live")
-    env_cls = LegacyEnvironment if engine == "legacy" else Environment
-    return _best_of(
-        lambda: run_world(env_cls(), Interrupt, n_nodes=n_nodes,
-                          n_tasks=n_tasks, n_jobs=n_jobs, seed=seed),
+def run_live(n_nodes: int = DEFAULT_NODES,
+             n_tasks: int = DEFAULT_TASKS, n_jobs: int = DEFAULT_JOBS,
+             seed: int = 2024, repeats: int = 2) -> dict:
+    """Best-of-``repeats`` measurements on the engine, as the simscale
+    document: the sizes plus :func:`run_world`'s measurements. Top-level
+    so a campaign worker process can run it under spawn; the returned
+    dict is pure JSON data."""
+    best = _best_of(
+        lambda: run_world(n_nodes=n_nodes, n_tasks=n_tasks,
+                          n_jobs=n_jobs, seed=seed),
         repeats)
-
-
-def build_comparison_doc(legacy: dict, live: dict, *, n_nodes: int,
-                         n_tasks: int, n_jobs: int, seed: int,
-                         repeats: int) -> dict:
-    """Fold the two engines' measurements (as returned by
-    :func:`run_engine`) into the BENCH_simscale comparison document.
-    Shared by :func:`simscale_result` and the campaign aggregation.
-
-    Raises if the two worlds disagree on final clock, event count, task
-    completions, or the completion-order signature — a throughput number
-    from divergent simulations would be meaningless.
-    """
-    for key in ("sim_seconds", "events", "tasks_completed", "signature"):
-        if legacy[key] != live[key]:
-            raise AssertionError(
-                f"twin worlds diverged on {key}: "
-                f"legacy={legacy[key]!r} live={live[key]!r}")
-
-    return {
-        "n_nodes": n_nodes,
-        "n_tasks": n_tasks,
-        "n_jobs": n_jobs,
-        "seed": seed,
-        "repeats": repeats,
-        "identical_order": True,
-        "sim_seconds": live["sim_seconds"],
-        "events": live["events"],
-        "legacy": {k: legacy[k] for k in
-                   ("wall_seconds", "events_per_sec")},
-        "engine": {k: live[k] for k in
-                   ("wall_seconds", "events_per_sec")},
-        "speedup": legacy["wall_seconds"] / live["wall_seconds"],
-    }
-
-
-def simscale_result(n_nodes: int = DEFAULT_NODES,
-                    n_tasks: int = DEFAULT_TASKS,
-                    n_jobs: int = DEFAULT_JOBS,
-                    seed: int = 2024, repeats: int = 2) -> dict:
-    """Run both worlds and return the comparison document."""
-    kwargs = dict(n_nodes=n_nodes, n_tasks=n_tasks, n_jobs=n_jobs,
-                  seed=seed, repeats=repeats)
-    legacy = run_engine("legacy", **kwargs)
-    live = run_engine("live", **kwargs)
-    return build_comparison_doc(legacy, live, **kwargs)
+    return {"n_nodes": n_nodes, "n_tasks": n_tasks, "n_jobs": n_jobs,
+            "seed": seed, "repeats": repeats, **best}
 
 
 def doc_rows(doc: dict):
-    """(columns, rows, note) for a comparison document — shared by the
+    """(columns, rows, note) for a simscale document — shared by the
     CLI below and the campaign aggregation table."""
-    columns = ["engine", "events", "wall s", "events/s", "speedup"]
-    rows = [
-        ("legacy", doc["events"],
-         round(doc["legacy"]["wall_seconds"], 3),
-         round(doc["legacy"]["events_per_sec"]),
-         1.0),
-        ("live", doc["events"],
-         round(doc["engine"]["wall_seconds"], 3),
-         round(doc["engine"]["events_per_sec"]),
-         round(doc["speedup"], 2)),
-    ]
+    columns = ["engine", "events", "wall s", "events/s"]
+    rows = [("live", doc["events"], round(doc["wall_seconds"], 3),
+             round(doc["events_per_sec"]))]
     note = (f"{doc['n_nodes']}-node / {doc['n_tasks']}-task / "
             f"{doc['n_jobs']}-job synthetic "
             f"cluster run (slot gates, 3-phase tasks, speculative-backup "
-            f"cancellation); best of {doc['repeats']} repeats per engine; "
-            f"event order verified identical across worlds "
+            f"cancellation); best of {doc['repeats']} repeats; "
+            f"order signature {doc['signature']} "
             f"(sim clock {doc['sim_seconds']:.3f}s)")
     return columns, rows, note
 
@@ -281,6 +211,5 @@ def simscale_rows(n_nodes: int = DEFAULT_NODES,
                   n_jobs: int = DEFAULT_JOBS,
                   seed: int = 2024, repeats: int = 2):
     """(columns, rows, note) — the repro.bench CLI surface."""
-    doc = simscale_result(n_nodes=n_nodes, n_tasks=n_tasks,
-                          n_jobs=n_jobs, seed=seed, repeats=repeats)
-    return doc_rows(doc)
+    return doc_rows(run_live(n_nodes=n_nodes, n_tasks=n_tasks,
+                             n_jobs=n_jobs, seed=seed, repeats=repeats))

@@ -14,7 +14,7 @@ iteration one.
 All timings are *simulated* seconds, so the comparison is deterministic
 — CI gates fused+cached at >= 1.5x over the baseline without wall-clock
 noise. Results land in ``bench_results/BENCH_sparklike.json`` next to
-BENCH_shuffle/BENCH_write/BENCH_obs/BENCH_simscale.
+BENCH_shuffle/BENCH_write/BENCH_simscale.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ class CampaignDef:
 
 
 # ---------------------------------------------------------------------------
-# simscale: frozen legacy engine vs live engine, one point per engine
+# simscale: engine throughput on the synthetic cluster run, one point
 # ---------------------------------------------------------------------------
 
 def _simscale_space(quick: bool = False) -> ParameterSpace:
@@ -46,20 +46,12 @@ def _simscale_space(quick: bool = False) -> ParameterSpace:
             "n_jobs": 10, "seed": 2024, "repeats": 3}
     if quick:
         base.update(n_tasks=1000, n_jobs=4, repeats=1)
-    return ParameterSpace(base=base).grid(engine=["legacy", "live"])
+    return ParameterSpace(base=base)
 
 
 def _simscale_aggregate(records: list) -> dict:
-    from repro.bench.simscale import build_comparison_doc
-
-    by_engine = {record.statepoint["engine"]: record
-                 for record in records}
-    spec = by_engine["live"].statepoint
-    return build_comparison_doc(
-        by_engine["legacy"].result, by_engine["live"].result,
-        n_nodes=spec["n_nodes"], n_tasks=spec["n_tasks"],
-        n_jobs=spec["n_jobs"], seed=spec["seed"],
-        repeats=spec["repeats"])
+    (record,) = records
+    return record.result
 
 
 def _simscale_rows(doc: dict) -> tuple:
@@ -180,8 +172,8 @@ CAMPAIGNS: dict[str, CampaignDef] = {
     definition.name: definition for definition in (
         CampaignDef(
             name="simscale",
-            description="frozen legacy engine vs live engine on the "
-                        "256-node/10k-task synthetic cluster run",
+            description="engine throughput on the 256-node/10k-task "
+                        "synthetic cluster run",
             worker="repro.bench.campaigns:simscale_point",
             space=_simscale_space,
             aggregate=_simscale_aggregate,

@@ -10,8 +10,7 @@ The write path has two replication disciplines:
 
 - **store-and-forward** (``packet_bytes=None``, the default): each
   block is shipped whole to replica N, written, then shipped on to
-  replica N+1 — the frozen legacy shape
-  (:func:`repro.io._legacy.legacy_hdfs_write`).
+  replica N+1 (timings pinned by ``tests/golden/io.json``).
 - **packet pipeline** (``packet_bytes`` set, e.g.
   ``costs.HDFS_PACKET_BYTES``): the block is split into packets that
   stream down the replica chain like a real DataNode pipeline, so hop
@@ -19,7 +18,7 @@ The write path has two replication disciplines:
   network streams.
 
 Independently, ``write_parallel_blocks`` bounds how many block
-pipelines of one file are in flight at once (1 = legacy sequential
+pipelines of one file are in flight at once (1 = one sequential
 output stream).
 """
 
@@ -58,7 +57,7 @@ class DFSClient:
         #: the shared write planner (block fan-out + per-scheme metrics)
         self.write_planner = WritePlanner(self.env, scheme="hdfs")
         #: replication pipeline packet size; None = whole-block
-        #: store-and-forward (the legacy shape)
+        #: store-and-forward
         self.packet_bytes = (
             getattr(hdfs, "packet_bytes", None)
             if packet_bytes is None else packet_bytes)
@@ -92,7 +91,7 @@ class DFSClient:
 
     def _store_and_forward(self, block: BlockInfo, chunk: bytes):
         """Whole-block replication: ship to replica N, write, ship on to
-        replica N+1 — the frozen legacy discipline. DES generator."""
+        replica N+1. DES generator."""
         prev_node = self.node
         for target_name in block.locations:
             datanode = self.hdfs.datanode(target_name)

@@ -12,7 +12,7 @@ reads both HDFS blocks and PFS-resident scientific data):
 - :mod:`repro.io.planner` — the single :class:`ReadPlanner` owning
   granularity chopping, per-device extent coalescing, bounded fan-out,
   and read-ahead-cache join-in-flight for all backends.
-- :mod:`repro.io.write` — the write-side twin: the
+- :mod:`repro.io.write` — the write-side counterpart: the
   :class:`WritePlanner` owning payload-contiguous coalescing, chunk
   chopping, bounded push fan-out and per-scheme ``io.write.*``
   accounting, plus the :class:`WriteBehindFlusher` async output commit.

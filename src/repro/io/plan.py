@@ -115,7 +115,7 @@ class ScanPlan:
 class WritePlan:
     """The push requests one logical write decomposes into.
 
-    The write-side twin of :class:`ReadPlan`: ``extents`` are the
+    The write-side counterpart of :class:`ReadPlan`: ``extents`` are the
     per-device runs a backend will actually push, in payload order,
     after payload-contiguous coalescing and chunk chopping. ``chunk``
     records the chop size used (None = whole-extent single pushes).

@@ -1,17 +1,15 @@
 """The one read planner: chopping, coalescing, fan-out, cache joining.
 
-Every storage backend routes its data path through this module. What
-used to be four private copies of the same machinery — granularity
-chopping in ``PFSReader._chop``, per-OST run coalescing in
-``repro.pfs.client.coalesce_extents``, RPC-size chopping in
-``ConnectorClient._read_range``, and per-backend bounded fan-out — now
-lives here once, so a new backend is a thin adapter and the datapath
-counters stay comparable across schemes.
+Every storage backend routes its data path through this module:
+granularity chopping (the PFS Reader), per-OST run coalescing (the PFS
+client), RPC-size chopping (the HDFS connector) and bounded fan-out live
+here once, so a new backend is a thin adapter and the datapath counters
+stay comparable across schemes.
 
 Timing discipline
 -----------------
 The perf-smoke golden numbers pin the simulated physics to 1e-9, so the
-planner reproduces each historical fan-out shape *exactly*:
+planner keeps each backend's fan-out shape *exactly*:
 
 - :meth:`ReadPlanner.fetch_range` — the PFS Reader / connector shape:
   one piece is fetched inline, a serial window (``max_inflight == 1``)
@@ -24,8 +22,9 @@ planner reproduces each historical fan-out shape *exactly*:
   serial process-per-block loop (stock ``DFSInputStream`` streaming).
 
 Changing any of these disciplines changes event creation order and is a
-behaviour change, not a refactor; the equivalence tests in
-``tests/io/test_planner_equivalence.py`` hold them to the legacy paths.
+behaviour change, not a refactor;
+``tests/io/test_planner_equivalence.py`` holds them to the completion
+times recorded in ``tests/golden/io.json``.
 """
 
 from __future__ import annotations

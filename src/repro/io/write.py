@@ -1,6 +1,6 @@
 """The one write planner: chunking, coalescing, fan-out, write-behind.
 
-The write-side twin of :mod:`repro.io.planner`. Every storage backend
+The write-side counterpart of :mod:`repro.io.planner`. Every storage backend
 routes its write path through this module: per-device coalescing where
 the *payload* is contiguous, chunk-granularity chopping, the bounded
 fan-out windows (reusing :mod:`repro.sim.pipeline`), and the per-scheme
@@ -10,13 +10,13 @@ table next to the read rows.
 Timing discipline
 -----------------
 The perf-smoke golden numbers pin the simulated physics to 1e-9, so the
-planner reproduces each historical fan-out shape *exactly* at default
+planner keeps each backend's fan-out shape *exactly* at default
 knobs:
 
 - :meth:`WritePlanner.plan_extents` — with no chunk size configured the
-  mapped extents pass through untouched (the legacy one-RPC-per-stripe
-  write; a run merged in object space is discontiguous in the payload
-  unless it is *also* payload-adjacent, which is what
+  mapped extents pass through untouched (one RPC per stripe extent; a
+  run merged in object space is discontiguous in the payload unless it
+  is *also* payload-adjacent, which is what
   :func:`coalesce_payload_runs` checks before merging).
 - :meth:`WritePlanner.fan_out_stripes` — the PFS client shape: a window
   strictly between 0 and the push count bounds the fan-out, otherwise
@@ -26,9 +26,9 @@ knobs:
   serial process-per-block loop (the stock output-stream behaviour).
 
 Changing any of these disciplines changes event creation order and is a
-behaviour change, not a refactor; the twin-world tests in
-``tests/io/test_write_equivalence.py`` hold them to the frozen
-``_legacy`` writers.
+behaviour change, not a refactor;
+``tests/io/test_write_equivalence.py`` holds them to the completion
+times recorded in ``tests/golden/io.json``.
 
 :class:`WriteBehindFlusher` is the task-commit half: map/reduce output
 call sites hand their payload off (pure Python, no simulated time) and
@@ -85,7 +85,7 @@ def chop_extents(extents: Sequence[Extent],
                  chunk: Optional[int]) -> list[Extent]:
     """Split extents into at most ``chunk``-byte push requests.
 
-    ``chunk=None`` keeps each extent whole (the legacy single push per
+    ``chunk=None`` keeps each extent whole (a single push per
     stripe extent); otherwise each extent becomes ceil(len/chunk)
     pieces, in payload order.
     """
@@ -132,8 +132,8 @@ class WritePlanner:
     def plan_extents(self, extents: Sequence[Extent]) -> WritePlan:
         """Build the push plan for mapped extents.
 
-        With no chunk size the extents pass through untouched — the
-        legacy one-push-per-stripe-extent shape. With a chunk size,
+        With no chunk size the extents pass through untouched — one
+        push per stripe extent. With a chunk size,
         payload-contiguous runs are merged first (so a large aligned
         write is not artificially fragmented at stripe boundaries
         smaller than the chunk) and then chopped to the granularity.

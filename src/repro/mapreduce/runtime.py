@@ -257,12 +257,9 @@ class JobRunner:
                     self.env.process(self._prefetch_split(
                         prefetcher, staged, node, cache, counters))
 
-            # flusher passes as a kwarg only when write-behind is on, so
-            # frozen legacy task classes (test twins) stay constructible.
-            extra = {"flusher": flusher} if flusher is not None else {}
             task = MapTask(self.env, self.job, split, node, client,
                            self._next_task_id("m"), track=track,
-                           cache=cache, **extra)
+                           cache=cache, flusher=flusher)
             attempt = history.record(TaskAttempt(
                 attempt_id=task.task_id, kind="map", node=node.name,
                 start=self.env.now,
@@ -330,11 +327,10 @@ class JobRunner:
             attempt = 0
             while True:
                 attempt += 1
-                extra = {"flusher": flusher} if flusher is not None else {}
                 task = ReduceTask(
                     self.env, self.job, partition, node, client,
                     map_outputs, self.network, self._next_task_id("r"),
-                    track=track, feed=feed, **extra)
+                    track=track, feed=feed, flusher=flusher)
                 record = history.record(TaskAttempt(
                     attempt_id=task.task_id, kind="reduce", node=node.name,
                     start=self.env.now, partition=partition))

@@ -2,9 +2,9 @@
 
 The partition fold and the merge order are part of the golden numbers
 (they decide which reducer owns a key and in what order equal keys are
-reduced), so both are specified by the frozen reference copies in
-:mod:`repro.mapreduce._legacy` and held bit-identical by
-``tests/mapreduce/test_legacy_equivalence.py``.
+reduced), so both are specified by the scalar references in
+``tests/oracles.py`` and held bit-identical by the shuffle equivalence
+tests under ``tests/mapreduce/``.
 """
 
 from __future__ import annotations
@@ -189,8 +189,8 @@ def merge_sorted_runs(
     """Merge key-sorted runs: concatenate in run order, one stable sort.
 
     Timsort gallops over the pre-sorted runs and, being stable, leaves
-    equal keys in run order, then record order: ``heapq.merge``'s (and
-    the frozen reference merge's) order, record for record. Both
+    equal keys in run order, then record order: ``heapq.merge``'s
+    order, record for record. Both
     engines' reduce sides call this; their runs are materialised lists.
     """
     return sort_run(itertools.chain.from_iterable(runs))

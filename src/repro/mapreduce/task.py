@@ -3,7 +3,7 @@
 Tasks are hybrids: user functions run for real (bytes in, bytes out), and
 the task charges simulated seconds for startup, I/O (through storage
 clients and devices) and compute (through ``ctx.charge``). Per-task phase
-timers feed the Fig. 7 decomposition.
+spans feed the Fig. 7 decomposition.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.mapreduce.shuffle import (
 from repro.obs.metrics import metrics_of
 from repro.obs.trace import tracer_of
 from repro.sim import Event, FanoutWindow
-from repro.sim.stats import IntervalTimer
 
 __all__ = ["MapOutput", "MapOutputFeed", "MapTask", "ReduceTask",
            "TaskContext", "TaskStats"]
@@ -60,8 +59,7 @@ class TaskStats:
 class _Phase:
     """Context manager for one timed task phase.
 
-    Records a (name, start, end) span on the context, keeps the
-    backwards-compatible ``ctx.timer`` totals in sync, and mirrors the
+    Records a (name, start, end) span on the context and mirrors the
     phase as a tracer child span when tracing is enabled.
     """
 
@@ -83,7 +81,6 @@ class _Phase:
         ctx = self._ctx
         end = ctx.env.now
         ctx.spans.append((self._name, self._start, end))
-        ctx.timer.add(self._name, end - self._start)
         self._handle.__exit__(*exc)
 
 
@@ -102,9 +99,6 @@ class TaskContext:
         #: caching); input formats pick it up for their readers
         self.cache = cache
         self.counters = Counters()
-        #: shim kept for callers that still read per-phase totals here;
-        #: :meth:`phase` is the primary timing API and feeds it.
-        self.timer = IntervalTimer(task_id)
         #: (phase name, start, end) spans recorded by :meth:`phase`
         self.spans: list[tuple[str, float, float]] = []
         #: trace swimlane this task's spans land on
@@ -345,8 +339,8 @@ class ReduceTask:
 
     * **barrier** (all shuffle knobs at defaults, no feed): the
       pre-overlap shape — one fetcher per map output, all in flight at
-      once, one ``AllOf`` barrier. Pinned event-for-event against
-      :class:`repro.mapreduce._legacy.LegacyReduceTask`.
+      once, one ``AllOf`` barrier. Its timings are pinned by
+      ``tests/golden/mapreduce.json``.
     * **overlapped** (a :class:`MapOutputFeed` and/or
       ``shuffle_parallel_copies``/``shuffle_fetch_attempts`` set): fetch
       factories go through a :class:`FanoutWindow` — submitted as map

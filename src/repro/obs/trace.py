@@ -298,20 +298,14 @@ class Tracer:
         return sorted(self.log.tracks())
 
 
-def attach_tracer(env, tracer: Optional[Tracer] = None) -> Tracer:
-    """Attach (and return) a tracer on ``env``; idempotent by default.
-
-    Any already-attached tracer-like object is kept (this is what lets
-    the twin-world tests pin a frozen ``LegacyTracer`` on one of two
-    otherwise-identical runs).
-    """
+def attach_tracer(env) -> Tracer:
+    """Attach (and return) a tracer on ``env``; idempotent — an
+    already-attached tracer is kept."""
     existing = getattr(env, "tracer", None)
-    if tracer is None:
-        if existing is not None:
-            return existing
-        tracer = Tracer(env)
-    env.tracer = tracer
-    return tracer
+    if existing is not None:
+        return existing
+    env.tracer = Tracer(env)
+    return env.tracer
 
 
 def tracer_of(env):

@@ -2,8 +2,7 @@
 
 Implements the :class:`repro.io.protocol.StorageClient` protocol; all
 planning (per-OST run coalescing, bounded fan-out) is delegated to the
-shared :class:`repro.io.planner.ReadPlanner`. ``coalesce_extents`` is
-kept as a delegating shim for the legacy import path.
+shared :class:`repro.io.planner.ReadPlanner`.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from repro import costs
 from repro.cluster.node import Node
 from repro.io.plan import Extent
 from repro.io.planner import ReadPlanner
-from repro.io.planner import coalesce_extents as _coalesce_extents
 from repro.io.write import WritePlanner
 from repro.obs.trace import tracer_of
 from repro.pfs.filesystem import PFS
@@ -22,16 +20,7 @@ from repro.pfs.layout import StripeLayout
 from repro.pfs.server import Inode, PFSError
 from repro.sim import AllOf
 
-__all__ = ["PFSClient", "coalesce_extents"]
-
-
-def coalesce_extents(extents: list[Extent]) -> dict[int, list[Extent]]:
-    """Group extents by OST and merge object-adjacent runs into one RPC.
-
-    Delegating shim: the implementation lives in
-    :func:`repro.io.planner.coalesce_extents` (the unified data plane).
-    """
-    return _coalesce_extents(extents)
+__all__ = ["PFSClient"]
 
 
 class PFSClient:

@@ -23,7 +23,7 @@ from repro.sim.engine import (
 from repro.sim.cache import CacheStats, ReadAheadCache
 from repro.sim.pipeline import FanoutWindow, bounded_fanout
 from repro.sim.resources import Container, Resource, SharedBandwidth, Store
-from repro.sim.stats import IntervalTimer, Monitor
+from repro.sim.stats import Monitor
 
 __all__ = [
     "AllOf",
@@ -33,7 +33,6 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
-    "IntervalTimer",
     "Monitor",
     "Process",
     "ReadAheadCache",

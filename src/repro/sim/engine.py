@@ -13,8 +13,8 @@ Semantics follow the classic process-interaction style:
   deterministic by construction.
 
 The implementation is tuned for cluster-scale event counts (millions of
-events per run) while keeping pop order bit-identical to the frozen
-reference in :mod:`repro.sim._legacy`:
+events per run); its pop order on a seeded program of mixed timeouts,
+handoffs, conditions and interrupts is pinned by ``tests/golden/sim.json``:
 
 - every event class carries ``__slots__`` — no per-event ``__dict__``;
 - ``(priority, seq)`` are packed into one integer sort key, so heap
@@ -210,8 +210,8 @@ class Timeout(Event):
     triggered = True
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # also rejects NaN, which no ordering can place
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
         self.env = env
         self.callbacks = []
         self._value = value
@@ -449,7 +449,8 @@ class Environment:
     seq)``; events scheduled at the *current* instant go to per-priority
     FIFO deques (``_bu`` urgent, ``_bn`` normal) that are always drained
     before the clock can advance, so heap churn is paid only for real
-    timestamp changes. Pop order is identical to the frozen legacy heap.
+    timestamp changes. Pop order is that of one ``(time, priority, seq)``
+    heap.
     """
 
     def __init__(self, initial_time: float = 0.0):
@@ -497,8 +498,8 @@ class Environment:
         when one is available."""
         pool = self._timeout_pool
         if pool:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
+            if not delay >= 0:
+                raise ValueError(f"delay must be >= 0, got {delay!r}")
             to = pool.pop()
             # recycled state: callbacks is a parked empty list,
             # _exception is None (timeouts cannot fail)

@@ -7,8 +7,7 @@ back in input order regardless of completion order.
 
 ``max_inflight <= 0`` (or a window at least as large as the input) is
 the unbounded fan-out: every process is created up front and awaited
-with a single :class:`AllOf`, which is the legacy shape callers used
-before windows existed.
+with a single :class:`AllOf`.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ class FanoutWindow:
     already in flight keep running, like :func:`bounded_fanout`.
 
     ``max_inflight <= 0`` runs everything submitted immediately
-    (unbounded), mirroring the legacy fan-out shape.
+    (unbounded).
     """
 
     def __init__(self, env: Environment, max_inflight: int = 0):

@@ -17,15 +17,9 @@ from typing import Any, Optional
 
 from repro.sim.engine import URGENT, Environment, Event, SimulationError
 
-__all__ = ["Container", "FLUID_TRANSFERS", "Resource", "SharedBandwidth",
-           "Store"]
+__all__ = ["Container", "Resource", "SharedBandwidth", "Store"]
 
-#: Process-wide default for :class:`SharedBandwidth`'s fluid-approximation
-#: knob. Off by default: every pipe runs the exact processor-sharing
-#: machinery and event order is bit-identical to the frozen legacy engine.
-#: Flip to ``True`` (or pass ``fluid=True`` per pipe) to collapse
-#: uncontended steady transfers into one closed-form completion event.
-FLUID_TRANSFERS = False
+_INF = float("inf")
 
 
 class Request(Event):
@@ -225,39 +219,31 @@ class SharedBandwidth:
     to walking every active transfer, since a transfer's remaining bytes
     are always ``finish_tag - counter``.
 
+    A transfer admitted to an *idle* pipe skips the heap: one closed-form
+    completion timeout (``nbytes / capacity``) fires its done event. If a
+    second transfer arrives first, the lone transfer re-expands into the
+    heap with its exact remaining bytes and the pending closed-form
+    completion is invalidated, so contention is modelled exactly (see
+    DESIGN.md §13).
+
     ``latency`` adds a fixed delay before the transfer joins the pipe —
     used for per-request seek/RPC overheads.
-
-    ``fluid`` (default: module-level :data:`FLUID_TRANSFERS`, off) is the
-    opt-in fluid approximation: a transfer admitted to an *idle* pipe is
-    not entered into the PS heap at all — one closed-form completion
-    timeout (``nbytes / capacity``) fires its done event. If a second
-    transfer arrives first, the in-flight fluid transfer re-expands into
-    the PS machinery with its exact remaining bytes and the pending
-    closed-form completion is invalidated, so contention is still modelled
-    precisely. For uncontended transfers the fluid path emits the same
-    two events at the same times and sequence points as the PS path, so
-    results are identical; under contention the completion *ordering
-    within a timestamp* may legally differ (see DESIGN.md §13).
     """
 
-    def __init__(self, env: Environment, capacity: float, name: str = "",
-                 fluid: Optional[bool] = None):
+    def __init__(self, env: Environment, capacity: float, name: str = ""):
         if capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {capacity}")
         self.env = env
         self.capacity = float(capacity)
         self.name = name
-        #: fluid-approximation knob (mutable; consulted per admission)
-        self.fluid = FLUID_TRANSFERS if fluid is None else bool(fluid)
-        #: completion event of the in-flight fluid transfer, if any.
-        #: Invariant: non-None implies the PS heap is empty.
-        self._fluid_done: Optional[Event] = None
-        self._fluid_nbytes = 0.0
-        self._fluid_start = 0.0
-        #: busy_time already credited for the in-flight fluid transfer
-        self._fluid_accrued = 0.0
-        self._fluid_gen = 0
+        #: completion event of the lone closed-form transfer, if any.
+        #: Invariant: non-None implies the heap is empty.
+        self._lone_done: Optional[Event] = None
+        self._lone_nbytes = 0.0
+        self._lone_start = 0.0
+        #: busy_time already credited for the lone transfer
+        self._lone_accrued = 0.0
+        self._lone_gen = 0
         #: cumulative per-transfer service, in bytes (virtual time)
         self._vtime = 0.0
         #: (finish_tag, seq, transfer) min-heap of active transfers
@@ -275,12 +261,15 @@ class SharedBandwidth:
 
     @property
     def n_active(self) -> int:
-        return len(self._heap) + (self._fluid_done is not None)
+        return len(self._heap) + (self._lone_done is not None)
 
     def transfer(self, nbytes: float, latency: float = 0.0) -> Event:
         """Move ``nbytes`` through the pipe; returns the completion event."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be >= 0")
+        if not 0 <= nbytes < _INF:  # NaN fails every comparison
+            raise ValueError(
+                f"nbytes must be finite and >= 0, got {nbytes!r}")
+        if not -_INF < latency < _INF:
+            raise ValueError(f"latency must be finite, got {latency!r}")
         done = Event(self.env)
         if latency > 0:
             delay = self.env.timeout(latency)
@@ -294,24 +283,23 @@ class SharedBandwidth:
         if nbytes == 0:
             done.succeed()
             return
-        if self._fluid_done is not None:
-            self._collapse_fluid()
-        elif self.fluid and not self._heap:
-            # Idle pipe: one closed-form completion event. Mirrors the
-            # PS path exactly for a lone transfer — same timeout delay
-            # (vtime resets to 0 when idle, so delay == nbytes/capacity),
-            # same observer call, same URGENT done — hence identical
-            # event sequence when no second transfer arrives.
-            self._fluid_done = done
-            self._fluid_nbytes = float(nbytes)
-            self._fluid_start = self.env.now
-            self._fluid_accrued = 0.0
-            self._fluid_gen += 1
-            gen = self._fluid_gen
+        if self._lone_done is not None:
+            self._expand_lone()
+        elif not self._heap:
+            # Idle pipe: one closed-form completion event — the same
+            # timeout delay (vtime is 0 when idle, so it is
+            # nbytes/capacity), observer call and URGENT done the heap
+            # would produce for a lone transfer.
+            self._lone_done = done
+            self._lone_nbytes = float(nbytes)
+            self._lone_start = self.env.now
+            self._lone_accrued = 0.0
+            self._lone_gen += 1
+            gen = self._lone_gen
             if self.observer is not None:
                 self.observer(1)
             wake = self.env.timeout(nbytes / self.capacity)
-            wake.callbacks.append(lambda _ev: self._fluid_complete(gen))
+            wake.callbacks.append(lambda _ev: self._lone_complete(gen))
             return
         self._advance()
         self._seq += 1
@@ -327,53 +315,54 @@ class SharedBandwidth:
         now = self.env.now
         elapsed = now - self._last_update
         self._last_update = now
-        if self._fluid_done is not None:
-            acc = (now - self._fluid_start) - self._fluid_accrued
+        if self._lone_done is not None:
+            acc = (now - self._lone_start) - self._lone_accrued
             if acc > 0:
                 self.busy_time += acc
-                self._fluid_accrued = now - self._fluid_start
+                self._lone_accrued = now - self._lone_start
         if elapsed <= 0 or not self._heap:
             return
         self.busy_time += elapsed
         rate = self.capacity / len(self._heap)
         self._vtime += elapsed * rate
 
-    def _fluid_complete(self, generation: int) -> None:
-        """Closed-form completion of an uncontended fluid transfer."""
-        if generation != self._fluid_gen or self._fluid_done is None:
-            return  # re-expanded into the PS heap before completing
+    def _lone_complete(self, generation: int) -> None:
+        """Closed-form completion of an uncontended transfer."""
+        if generation != self._lone_gen or self._lone_done is None:
+            return  # re-expanded into the heap before completing
         now = self.env.now
-        self.busy_time += (now - self._fluid_start) - self._fluid_accrued
+        self.busy_time += (now - self._lone_start) - self._lone_accrued
         self._last_update = now
-        done = self._fluid_done
-        self._fluid_done = None
+        done = self._lone_done
+        self._lone_done = None
         if self.observer is not None:
             self.observer(0)
         done.succeed(priority=URGENT)
 
-    def _collapse_fluid(self) -> None:
-        """Re-expand the in-flight fluid transfer into the PS machinery.
+    def _expand_lone(self) -> None:
+        """Re-expand the lone closed-form transfer into the heap.
 
-        Called when a second transfer arrives: the fluid transfer joins
+        Called when a second transfer arrives: the lone transfer joins
         the heap with its exact remaining bytes, the pending closed-form
         completion is invalidated, and contention proceeds under the
-        precise processor-sharing model.
+        processor-sharing model.
         """
         now = self.env.now
-        elapsed = now - self._fluid_start
-        self.busy_time += elapsed - self._fluid_accrued
+        elapsed = now - self._lone_start
+        self.busy_time += elapsed - self._lone_accrued
         drained = elapsed * self.capacity
-        remaining = max(self._fluid_nbytes - drained, 0.0)
-        done = self._fluid_done
-        self._fluid_done = None
-        self._fluid_gen += 1  # pending closed-form completion is now stale
+        remaining = max(self._lone_nbytes - drained, 0.0)
+        done = self._lone_done
+        self._lone_done = None
+        self._lone_gen += 1  # pending closed-form completion is now stale
         self._last_update = now
         self._vtime = 0.0
         self._seq += 1
-        xfer = _Transfer(remaining, done, self._vtime + remaining, self._seq)
+        xfer = _Transfer(remaining, done, remaining, self._seq)
         heapq.heappush(self._heap, (xfer.finish_tag, xfer.seq, xfer))
-        # No observer call here: the admission that triggered the collapse
-        # reports the new in-flight count right after pushing its transfer.
+        # No observer call here: the admission that triggered the
+        # re-expansion reports the new in-flight count right after pushing
+        # its transfer.
 
     def _reschedule(self) -> None:
         """Schedule a wake-up at the earliest projected completion."""

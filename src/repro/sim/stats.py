@@ -2,9 +2,7 @@
 
 :class:`Monitor` records ``(time, value)`` samples and computes summary
 statistics including the time-weighted average (the right mean for
-utilisation-style series). :class:`IntervalTimer` accumulates named
-durations — the experiment harness uses it for the Read/Convert/Plot
-decomposition of Fig. 7.
+utilisation-style series).
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import numpy as np
 from repro.sim.columns import FloatColumn
 from repro.sim.engine import Environment
 
-__all__ = ["IntervalTimer", "Monitor"]
+__all__ = ["Monitor"]
 
 
 class Monitor:
@@ -143,47 +141,3 @@ class Monitor:
         if span == 0:
             return float(values[-1])
         return float(np.dot(values, dt)) / span
-
-
-class IntervalTimer:
-    """Accumulates named durations across a simulated run.
-
-    Usage inside a process::
-
-        t0 = env.now
-        yield disk.transfer(nbytes)
-        timer.add("read", env.now - t0)
-    """
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.totals: dict[str, float] = {}
-        self.counts: dict[str, int] = {}
-
-    def add(self, phase: str, duration: float) -> None:
-        if duration < 0:
-            raise ValueError(f"negative duration for {phase!r}")
-        self.totals[phase] = self.totals.get(phase, 0.0) + duration
-        self.counts[phase] = self.counts.get(phase, 0) + 1
-
-    def total(self, phase: str) -> float:
-        return self.totals.get(phase, 0.0)
-
-    def count(self, phase: str) -> int:
-        return self.counts.get(phase, 0)
-
-    def mean(self, phase: str) -> float:
-        n = self.counts.get(phase, 0)
-        if n == 0:
-            raise ValueError(f"no samples for phase {phase!r}")
-        return self.totals[phase] / n
-
-    def merge(self, other: "IntervalTimer") -> None:
-        """Fold another timer's accumulations into this one."""
-        for phase, total in other.totals.items():
-            self.totals[phase] = self.totals.get(phase, 0.0) + total
-            self.counts[phase] = (
-                self.counts.get(phase, 0) + other.counts[phase])
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.totals)

@@ -14,8 +14,8 @@ recomputes them on demand); "memory_and_disk" blocks spill to shared
 storage through the registry-resolved client — i.e. the
 ``repro.io.write`` planner path of the backing store — and later reads
 pay a timed reload instead of a recompute. The default unbounded
-capacity performs no simulated work at all, preserving the frozen v1
-engine's event shape bit for bit.
+capacity performs no simulated work at all, which keeps the default-knob
+timings recorded in ``tests/golden/sparklike.json``.
 """
 
 from __future__ import annotations

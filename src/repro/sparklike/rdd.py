@@ -228,11 +228,10 @@ def _fold(values, fn):
 class _MapPartitionsRDD(RDD):
     """Narrow transformation, pipelined inside the parent's task.
 
-    With fusion off (the default, matching the frozen v1 engine) each
-    operator runs in its own nested task process and charges the full
-    per-record cost. With ``Context(fusion=True)`` the whole narrow
-    chain down to the nearest boundary (source, shuffle, cached RDD, or
-    union) runs as one pass: interior operators stream records without
+    With fusion off (the default) each operator runs in its own nested
+    task process and charges the full per-record cost. With
+    ``Context(fusion=True)`` the whole narrow chain down to the nearest
+    boundary (source, shuffle, cached RDD, or union) runs as one pass: interior operators stream records without
     materialising an intermediate buffer, so they charge only the
     compute share of the per-record cost; the final operator still pays
     full price for materialising the stage's output.

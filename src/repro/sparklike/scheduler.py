@@ -2,12 +2,12 @@
 shuffle registry, and lineage-based recovery.
 
 Stages run as waves of executor workers (``nodes x executor_cores``,
-locality-aware pick — the exact loop of the frozen v1 engine, so
-default-knob timings match it at 1e-9). Each stage tracks its
+locality-aware pick; default-knob timings are pinned at 1e-9 by
+``tests/golden/sparklike.json``). Each stage tracks its
 partitions through ``pending -> running -> done``; map outputs are
 published through :class:`~repro.mapreduce.task.MapOutputFeed` keyed by
-shuffle dependency, and reducers fetch them with the legacy barrier
-shape by default or through a bounded
+shuffle dependency, and reducers fetch them behind one barrier
+by default or through a bounded
 :class:`~repro.sim.FanoutWindow` when
 ``Context(shuffle_parallel_copies=k)`` is set.
 
@@ -145,7 +145,7 @@ class TaskContext:
         """Pull bucket ``index`` from every map output. DES process.
 
         Default (``shuffle_parallel_copies=0``): start every remote
-        transfer and barrier on the set — the frozen v1 event shape.
+        transfer and barrier on the set.
         With ``shuffle_parallel_copies=k``: at most ``k`` copies in
         flight through a bounded FanoutWindow."""
         ctx = self.ctx

@@ -59,6 +59,24 @@ def test_trace_without_traceable_experiment(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_quick_simscale_prints_the_recorded_order(capsys):
+    """One live row, for the event order ``tests/golden/sim.json`` pins
+    at the quick size."""
+    import json
+
+    from tests.golden import load_golden
+
+    assert main(["simscale", "--quick", "--json"]) == 0
+    (experiment,) = json.loads(capsys.readouterr().out)["experiments"]
+    assert experiment["columns"] == ["engine", "events", "wall s",
+                                     "events/s"]
+    golden = load_golden("sim")["simscale"]["quick"]
+    ((engine, events, _wall, _rate),) = experiment["rows"]
+    assert (engine, events) == ("live", golden["events"])
+    assert f"order signature {golden['signature']} " in experiment["note"]
+    assert f"sim clock {golden['sim_seconds']:.3f}s" in experiment["note"]
+
+
 def test_every_experiment_has_quick_kwargs():
     for name, (_runner, _full, quick) in EXPERIMENTS.items():
         assert isinstance(quick, dict), name

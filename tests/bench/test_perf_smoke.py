@@ -60,7 +60,7 @@ GOLDEN_SHUFFLE_COMBINE = "9216/1152"
 
 #: write bench, quick size (n_files=2, blocks_per_file=2): {label:
 #: seconds}. The two "legacy" rows are the bit-exactness pins for the
-#: default-knob write path (they drive the frozen store-and-forward /
+#: default-knob write path (they drive the store-and-forward /
 #: unbounded-stripe-push event sequences); the rest pin the pipelined
 #: disciplines' determinism.
 GOLDEN_WRITE = {

@@ -1,8 +1,7 @@
 """Shared fixtures for the unified data plane tests.
 
-The equivalence tests need *twin worlds*: two identically-constructed
-simulations, one driving the legacy frozen read path, one the new
-planner, whose event sequences must produce bit-identical timings.
+The equivalence tests rebuild the worlds ``tests/golden/io.json`` was
+recorded in, so the builders here must stay deterministic.
 """
 
 import numpy as np
@@ -11,7 +10,11 @@ import pytest
 from repro.cluster import Cluster, DiskSpec, LinkSpec, NodeSpec
 from repro.hdfs import HDFS
 from repro.pfs import PFS, PFSClient, StripeLayout
-from repro.sim import Environment
+from repro.sim import Environment, SharedBandwidth
+
+from tests.golden import load_golden
+
+GOLDEN = load_golden("io")["cases"]
 
 
 def small_spec(disk_bw=1000.0, n_disks=1, nic_bw=10_000.0):
@@ -64,3 +67,24 @@ def run(env, gen):
 def payload(n, seed=0):
     rng = np.random.default_rng(seed)
     return rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()
+
+
+@pytest.fixture
+def golden(request):
+    """The recorded case of the running test (keyed by test id)."""
+    return GOLDEN[request.node.name]
+
+
+@pytest.fixture
+def transfers(monkeypatch):
+    """Counts ``SharedBandwidth.transfer`` calls (disk and link requests
+    issued) while the test runs; read the count as ``transfers[0]``."""
+    calls = [0]
+    transfer = SharedBandwidth.transfer
+
+    def counted(self, nbytes, latency=0.0):
+        calls[0] += 1
+        return transfer(self, nbytes, latency)
+
+    monkeypatch.setattr(SharedBandwidth, "transfer", counted)
+    return calls

@@ -9,14 +9,15 @@ allowlisted layers imports guarded internals:
   :class:`repro.io.protocol.StorageClient` and the
   :class:`repro.io.planner.ReadPlanner` — not a fourth private copy of
   the read path.
-- **obs**: the columnar recording core (``repro.obs.columnar``) and the
-  frozen v1 recorders (``repro.obs._legacy``). Instrumented packages
-  record through the :class:`repro.obs.Tracer` / metrics facade; only
-  the obs package itself (and the bench harness that measures both
-  recorders) touches the storage layout.
+- **obs**: the columnar recording core (``repro.obs.columnar``).
+  Instrumented packages record through the :class:`repro.obs.Tracer` /
+  metrics facade; only the obs package itself touches the storage
+  layout.
 
-It also ratchets the set of frozen ``_legacy.py`` reference modules, so
-a second copy of a whole engine cannot reappear under ``src/repro``.
+It also keeps ``src/repro`` free of frozen ``_legacy.py`` copies: a
+retired implementation leaves a recorded digest under ``tests/golden/``
+(or a naive oracle in ``tests/oracles.py``), not a second copy of the
+code.
 
 CI runs this as part of the test suite.
 """
@@ -47,14 +48,9 @@ RULES = (
     },
     {
         "label": "obs internals",
-        # the obs package itself plus the bench harness that measures
-        # the v1-vs-v2 recorders head to head
-        "allowed": ("repro.obs", "repro.bench"),
-        "modules": {
-            "repro.obs.columnar",
-            "repro.obs._legacy",
-        },
-        "names": {"ColumnarLog", "LegacyTracer", "LegacyMonitor"},
+        "allowed": ("repro.obs",),
+        "modules": {"repro.obs.columnar"},
+        "names": {"ColumnarLog"},
     },
     {
         "label": "sparklike storage isolation",
@@ -95,11 +91,11 @@ RULES = (
     },
 )
 
-#: the packages that keep a frozen ``_legacy.py``: each is the only
-#: reference for an event order or a naive arithmetic. A frozen copy of
-#: a whole engine whose outputs an independent oracle already checks is
-#: a fork, not a reference — it does not get added here.
-LEGACY_REFERENCES = {"sim", "io", "mapreduce", "obs"}
+#: the packages that keep a frozen ``_legacy.py``: none. A frozen copy
+#: of production code is a fork — its outputs are recorded once under
+#: ``tests/golden/`` and the copy is deleted; a naive reference
+#: arithmetic lives in ``tests/oracles.py``.
+LEGACY_REFERENCES: set[str] = set()
 
 
 def _in_prefixes(module: str, prefixes) -> bool:
@@ -202,24 +198,20 @@ def test_lint_catches_obs_violations():
         "from repro.obs.columnar import ColumnarLog\n")
     assert violations_in_source(
         "repro.io.offender", "import repro.obs.columnar\n")
-    # ...nor resurrect the frozen v1 recorders
+    # ...from the bench harness either, or through a facade re-export
     assert violations_in_source(
-        "repro.sparklike.offender",
-        "from repro.obs._legacy import LegacyTracer\n")
+        "repro.bench.offender",
+        "from repro.obs.columnar import ColumnarLog\n")
     assert violations_in_source(
-        "repro.core.offender",
-        "from repro.obs import LegacyMonitor\n")
+        "repro.core.offender", "from repro.obs import ColumnarLog\n")
     # the facade is the supported surface
     assert not violations_in_source(
         "repro.mapreduce.fine",
         "from repro.obs import Tracer, metrics_of\n")
-    # obs itself and the measuring bench harness are allowlisted
+    # obs itself is allowlisted
     assert not violations_in_source(
         "repro.obs.trace",
         "from repro.obs.columnar import ColumnarLog\n")
-    assert not violations_in_source(
-        "repro.bench.obsbench",
-        "from repro.obs._legacy import LegacyTracer\n")
 
 
 def test_lint_sparklike_storage_isolation():
@@ -307,7 +299,15 @@ def test_lint_campaign_process_isolation():
         "from repro.sim.engine import Environment\n")
 
 
-def test_legacy_twins_are_exactly_the_reference_modules():
-    """Ratchet: a frozen engine twin cannot come back unnoticed."""
-    found = {path.parent.name for path in SRC_ROOT.rglob("_legacy.py")}
-    assert found == LEGACY_REFERENCES
+def frozen_twins(root: Path) -> set[str]:
+    return {path.parent.name for path in root.rglob("_legacy.py")}
+
+
+def test_legacy_twins_are_exactly_the_reference_modules(tmp_path):
+    """Ratchet: no frozen twin may come back."""
+    assert frozen_twins(SRC_ROOT) == LEGACY_REFERENCES == set()
+    # the ratchet itself works: a seeded twin, however deep, is found
+    seeded = tmp_path / "repro" / "sim" / "kernels" / "_legacy.py"
+    seeded.parent.mkdir(parents=True)
+    seeded.write_text("class LegacyEnvironment: ...\n")
+    assert frozen_twins(tmp_path) == {"kernels"}

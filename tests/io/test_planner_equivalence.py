@@ -1,26 +1,26 @@
-"""ReadPlanner vs the frozen legacy read paths.
+"""ReadPlanner vs naive oracles and the recorded pre-planner timings.
 
-Twin-world equivalence: identical simulations drive the same randomized
-workload through the new planner and through the pre-refactor copies
-preserved in :mod:`repro.io._legacy`. The planner must reproduce the
-legacy event sequences exactly — simulated completion times match to
-1e-9 and the byte streams are identical.
+The planner's arithmetic (chopping, per-OST coalescing) is checked
+against the naive helpers in ``tests/oracles.py``. Its event sequences
+are checked against ``tests/golden/io.json``: each case was run once
+through the duplicated chop/coalesce/fan-out copies the planner
+replaced, and the planner must reproduce them — simulated completion
+times to 1e-9, identical byte streams, the same number of device
+requests.
 """
 
 import random
+import zlib
 
 import pytest
 
-from repro.io._legacy import (
-    LegacyRangeReader,
-    legacy_chop,
-    legacy_coalesce_extents,
-    legacy_read_extents,
-)
 from repro.io.planner import ReadPlanner, chop_range, coalesce_extents
 from repro.sim.cache import ReadAheadCache
 
 from tests.io.conftest import make_pfs_world, payload, run
+from tests.oracles import naive_chop, naive_coalesce_extents
+
+TOL = 1e-9
 
 
 # ------------------------------------------------------------ pure helpers
@@ -32,7 +32,7 @@ def test_chop_matches_legacy(seed):
         length = rng.randrange(1, 5_000)
         granularity = rng.choice([None, 1, 7, 64, 1024])
         assert chop_range(offset, length, granularity) \
-            == legacy_chop(offset, length, granularity)
+            == naive_chop(offset, length, granularity)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -47,7 +47,7 @@ def test_coalesce_matches_legacy(seed):
             off, rng.randrange(1, 5_000 - off)))
     rng.shuffle(extents)
     assert coalesce_extents(list(extents)) \
-        == legacy_coalesce_extents(list(extents))
+        == naive_coalesce_extents(list(extents))
 
 
 # ----------------------------------------------------- read_extents timing
@@ -68,72 +68,46 @@ def random_extent_workload(rng, inode, size):
 
 @pytest.mark.parametrize("seed", [1, 7, 42, 20180710])
 @pytest.mark.parametrize("window", [None, 0, 1, 2, 3])
-def test_read_extents_matches_legacy(seed, window):
-    """New PFSClient.read_extents ≡ frozen legacy copy: bytes + clock."""
+def test_read_extents_matches_legacy(seed, window, golden, transfers):
+    """PFSClient.read_extents ≡ the recorded fan-out: bytes + clock."""
     size = 3_000
-    rng = random.Random(seed)
-    ext_template = None
-
-    def drive(use_legacy):
-        nonlocal ext_template
-        env, pfs, client = make_pfs_world(stripe_size=64, stripe_count=4)
-        inode = pfs.store_file("/f", payload(size, seed=seed))
-        if ext_template is None:
-            ext_template = random_extent_workload(rng, inode, size)
-        extents = list(ext_template)
-        if use_legacy:
-            data = run(env, legacy_read_extents(
-                client, inode, extents, max_inflight=window))
-        else:
-            data = run(env, client.read_extents(
-                inode, extents, max_inflight=window))
-        return data, env.now
-
-    old_data, old_now = drive(use_legacy=True)
-    new_data, new_now = drive(use_legacy=False)
-    assert new_data == old_data
-    assert new_now == pytest.approx(old_now, abs=1e-9)
+    env, pfs, client = make_pfs_world(stripe_size=64, stripe_count=4)
+    inode = pfs.store_file("/f", payload(size, seed=seed))
+    extents = random_extent_workload(random.Random(seed), inode, size)
+    data = run(env, client.read_extents(
+        inode, extents, max_inflight=window))
+    assert zlib.crc32(data) == golden["crc"]
+    assert env.now == pytest.approx(golden["elapsed"], abs=TOL)
+    assert transfers[0] == golden["transfers"]
 
 
 @pytest.mark.parametrize("seed", [3, 11])
-def test_concurrent_read_extents_matches_legacy(seed):
+def test_concurrent_read_extents_matches_legacy(seed, golden, transfers):
     """Several overlapping read_extents calls racing on the same OSTs."""
     size = 2_000
     rng = random.Random(seed)
-    workloads = None
+    env, pfs, client = make_pfs_world(stripe_size=50, stripe_count=4)
+    inode = pfs.store_file("/f", payload(size, seed=seed))
+    workloads = [
+        (random_extent_workload(rng, inode, size),
+         rng.choice([None, 0, 1, 2]))
+        for _ in range(4)
+    ]
+    finishes = []
 
-    def drive(use_legacy):
-        nonlocal workloads
-        env, pfs, client = make_pfs_world(stripe_size=50, stripe_count=4)
-        inode = pfs.store_file("/f", payload(size, seed=seed))
-        if workloads is None:
-            workloads = [
-                (random_extent_workload(rng, inode, size),
-                 rng.choice([None, 0, 1, 2]))
-                for _ in range(4)
-            ]
-        finishes = []
+    def one(extents, window):
+        data = yield env.process(client.read_extents(
+            inode, list(extents), max_inflight=window))
+        finishes.append((env.now, len(data)))
 
-        def one(extents, window):
-            if use_legacy:
-                data = yield env.process(legacy_read_extents(
-                    client, inode, list(extents), max_inflight=window))
-            else:
-                data = yield env.process(client.read_extents(
-                    inode, list(extents), max_inflight=window))
-            finishes.append((env.now, len(data)))
-
-        for extents, window in workloads:
-            env.process(one(extents, window))
-        env.run()
-        return finishes
-
-    old = drive(use_legacy=True)
-    new = drive(use_legacy=False)
-    assert len(new) == len(old)
-    for (t_new, n_new), (t_old, n_old) in zip(new, old):
+    for extents, window in workloads:
+        env.process(one(extents, window))
+    env.run()
+    assert len(finishes) == len(golden["finishes"])
+    for (t_new, n_new), (t_old, n_old) in zip(finishes, golden["finishes"]):
         assert n_new == n_old
-        assert t_new == pytest.approx(t_old, abs=1e-9)
+        assert t_new == pytest.approx(t_old, abs=TOL)
+    assert transfers[0] == golden["transfers"]
 
 
 # ------------------------------------------------------ fetch_range timing
@@ -141,84 +115,59 @@ def test_concurrent_read_extents_matches_legacy(seed):
 @pytest.mark.parametrize("granularity,window", [
     (None, 1), (64, 1), (64, 3), (64, 0), (200, 2),
 ])
-def test_fetch_range_matches_legacy(seed, granularity, window):
-    """planner.fetch_range ≡ frozen PFSReader chop/fetch machinery."""
+def test_fetch_range_matches_legacy(seed, granularity, window, golden,
+                                    transfers):
+    """planner.fetch_range ≡ the recorded chop/fetch machinery."""
     size = 1_500
     rng = random.Random(seed)
     ranges = [(rng.randrange(0, size - 1),) for _ in range(5)]
     ranges = [(off, rng.randrange(1, size - off)) for (off,) in ranges]
 
-    def drive(use_legacy):
-        env, pfs, client = make_pfs_world(stripe_size=64, stripe_count=4)
-        pfs.store_file("/f", payload(size, seed=seed))
-        if use_legacy:
-            reader = LegacyRangeReader(
-                client, granularity=granularity,
-                request_overhead=0.0008, max_inflight=window)
-            fetchers = [reader.fetch_range("/f", off, n)
-                        for off, n in ranges]
-        else:
-            planner = ReadPlanner(
-                env, scheme="scidp", granularity=granularity,
-                request_overhead=0.0008, max_inflight=window)
-            fetch = lambda pos, n: client.read("/f", pos, n)  # noqa: E731
-            fetchers = [planner.fetch_range("/f", off, n, fetch)
-                        for off, n in ranges]
-        outs = []
-        for gen in fetchers:
-            outs.append(run(env, gen))
-        return outs, env.now
-
-    old_outs, old_now = drive(use_legacy=True)
-    new_outs, new_now = drive(use_legacy=False)
-    assert new_outs == old_outs
-    assert new_now == pytest.approx(old_now, abs=1e-9)
+    env, pfs, client = make_pfs_world(stripe_size=64, stripe_count=4)
+    pfs.store_file("/f", payload(size, seed=seed))
+    planner = ReadPlanner(
+        env, scheme="scidp", granularity=granularity,
+        request_overhead=0.0008, max_inflight=window)
+    fetch = lambda pos, n: client.read("/f", pos, n)  # noqa: E731
+    outs = [run(env, planner.fetch_range("/f", off, n, fetch))
+            for off, n in ranges]
+    assert [zlib.crc32(out) for out in outs] == golden["crcs"]
+    assert env.now == pytest.approx(golden["elapsed"], abs=TOL)
+    assert transfers[0] == golden["transfers"]
 
 
 @pytest.mark.parametrize("window", [1, 2])
-def test_fetch_range_with_cache_matches_legacy(window):
+def test_fetch_range_with_cache_matches_legacy(window, golden, transfers):
     """Join-in-flight cache protocol: concurrent identical ranges share
-    one fetch in both implementations, with identical timing."""
+    one fetch, with the recorded timing."""
     size = 1_000
+    env, pfs, client = make_pfs_world(stripe_size=64, stripe_count=4)
+    pfs.store_file("/f", payload(size, seed=5))
+    cache = ReadAheadCache(env, capacity_bytes=1 << 20)
+    planner = ReadPlanner(
+        env, scheme="scidp", granularity=128,
+        request_overhead=0.0008, max_inflight=window, cache=cache)
+    finishes = []
 
-    def drive(use_legacy):
-        env, pfs, client = make_pfs_world(stripe_size=64, stripe_count=4)
-        pfs.store_file("/f", payload(size, seed=5))
-        cache = ReadAheadCache(env, capacity_bytes=1 << 20)
-        if use_legacy:
-            reader = LegacyRangeReader(
-                client, granularity=128, request_overhead=0.0008,
-                max_inflight=window, cache=cache)
-            make = reader.fetch_range
-        else:
-            planner = ReadPlanner(
-                env, scheme="scidp", granularity=128,
-                request_overhead=0.0008, max_inflight=window, cache=cache)
-            make = lambda path, off, n: planner.fetch_range(  # noqa: E731
-                path, off, n, lambda pos, m: client.read(path, pos, m))
-        finishes = []
+    def one(off, n):
+        data = yield env.process(planner.fetch_range(
+            "/f", off, n, lambda pos, m: client.read("/f", pos, m)))
+        finishes.append((env.now, len(data)))
 
-        def one(off, n):
-            data = yield env.process(make("/f", off, n))
-            finishes.append((env.now, len(data)))
+    # Two racing identical reads (join-in-flight), then a re-read
+    # after completion (cache hit), plus a disjoint range.
+    env.process(one(0, 512))
+    env.process(one(0, 512))
+    env.process(one(512, 488))
 
-        # Two racing identical reads (join-in-flight), then a re-read
-        # after completion (cache hit), plus a disjoint range.
-        env.process(one(0, 512))
-        env.process(one(0, 512))
-        env.process(one(512, 488))
+    def late():
+        yield env.timeout(10.0)
+        yield env.process(one(0, 512))
 
-        def late():
-            yield env.timeout(10.0)
-            yield env.process(one(0, 512))
-
-        env.process(late())
-        env.run()
-        return finishes, cache.stats.hits, cache.stats.overlap_hits
-
-    old, old_hits, old_overlaps = drive(use_legacy=True)
-    new, new_hits, new_overlaps = drive(use_legacy=False)
-    assert [(n, round(t, 9)) for t, n in new] \
-        == [(n, round(t, 9)) for t, n in old]
-    assert new_hits == old_hits
-    assert new_overlaps == old_overlaps
+    env.process(late())
+    env.run()
+    assert [(n, round(t, 9)) for t, n in finishes] \
+        == [(n, round(t, 9)) for t, n in golden["finishes"]]
+    assert cache.stats.hits == golden["hits"]
+    assert cache.stats.overlap_hits == golden["overlap_hits"]
+    assert transfers[0] == golden["transfers"]

@@ -1,30 +1,31 @@
-"""Production writers vs the frozen legacy write paths.
+"""Production writers vs the recorded pre-planner write paths.
 
-The write-side twin of ``test_planner_equivalence``: at default knobs
+The write-side counterpart of ``test_planner_equivalence``: at default knobs
 (no packet pipelining, serial blocks, whole-extent stripe pushes) the
 :class:`~repro.io.write.WritePlanner`-backed writers must reproduce the
-pre-refactor event sequences exactly — simulated completion times match
-to 1e-9, replica placements match, and the stored bytes are identical.
-Non-default knobs are covered separately: they are behaviour changes,
-gated by the write bench and its perf-smoke goldens.
+event sequences of the writers they replaced — sequential whole-block
+store-and-forward for HDFS, one push per stripe extent under an
+unbounded ``AllOf`` for the PFS, the two-phase collective on top of it
+for MPI-IO. ``tests/golden/io.json`` holds each case's completion time
+(checked to 1e-9), replica placements, stored-bytes digest and device
+request count. Non-default knobs are covered separately: they are
+behaviour changes, gated by the write bench and its perf-smoke goldens.
 """
 
 import random
+import zlib
 
 import pytest
 
 from repro.cluster import Cluster
 from repro.hdfs import HDFS
-from repro.io._legacy import (
-    legacy_hdfs_write,
-    legacy_pfs_write,
-    legacy_write_at_all,
-)
 from repro.pfs import PFS, PFSClient, StripeLayout
 from repro.pfs.mpiio import MPIFile
 from repro.sim import Environment
 
 from tests.io.conftest import make_pfs_world, payload, run, small_spec
+
+TOL = 1e-9
 
 
 def make_hdfs_world(replication=3, block_size=100, n_nodes=5):
@@ -43,106 +44,76 @@ def make_hdfs_world(replication=3, block_size=100, n_nodes=5):
 # ------------------------------------------------------------- HDFS writes
 @pytest.mark.parametrize("replication", [1, 2, 3])
 @pytest.mark.parametrize("n_bytes", [1, 100, 350, 730])
-def test_hdfs_write_matches_legacy(replication, n_bytes):
-    """Default-knob DFSClient.write ≡ frozen sequential store-and-forward:
+def test_hdfs_write_matches_legacy(replication, n_bytes, golden, transfers):
+    """Default-knob DFSClient.write ≡ sequential store-and-forward:
     clock, replica placements, and stored bytes."""
     data = payload(n_bytes, seed=n_bytes)
-
-    def drive(use_legacy):
-        env, hdfs, client = make_hdfs_world(replication=replication)
-        if use_legacy:
-            run(env, legacy_hdfs_write(client, "/f", data))
-        else:
-            run(env, client.write("/f", data))
-        locations = [tuple(b.locations) for b
-                     in hdfs.namenode.get_block_locations("/f")]
-        return env.now, locations, hdfs.read_file_sync("/f"), \
-            client.bytes_written
-
-    old_now, old_locs, old_bytes, old_written = drive(use_legacy=True)
-    new_now, new_locs, new_bytes, new_written = drive(use_legacy=False)
-    assert new_bytes == old_bytes == data
-    assert new_locs == old_locs
-    assert new_written == old_written == n_bytes
-    assert new_now == pytest.approx(old_now, abs=1e-9)
+    env, hdfs, client = make_hdfs_world(replication=replication)
+    run(env, client.write("/f", data))
+    locations = [list(b.locations) for b
+                 in hdfs.namenode.get_block_locations("/f")]
+    assert hdfs.read_file_sync("/f") == data
+    assert locations == golden["locations"]
+    assert client.bytes_written == n_bytes
+    assert env.now == pytest.approx(golden["elapsed"], abs=TOL)
+    assert transfers[0] == golden["transfers"]
 
 
 @pytest.mark.parametrize("seed", [1, 5, 17])
-def test_concurrent_hdfs_writes_match_legacy(seed):
+def test_concurrent_hdfs_writes_match_legacy(seed, golden, transfers):
     """Several writers racing on the same datanodes/links."""
     rng = random.Random(seed)
     jobs = [(f"/f{i}", payload(rng.randrange(1, 500), seed=seed * 10 + i))
             for i in range(3)]
+    env, hdfs, _client = make_hdfs_world(replication=2)
+    clients = [hdfs.client(hdfs.datanode(name).node)
+               for name in list(hdfs._datanodes)[:3]]
+    finishes = []
 
-    def drive(use_legacy):
-        env, hdfs, _client = make_hdfs_world(replication=2)
-        clients = [hdfs.client(hdfs.datanode(name).node)
-                   for name in list(hdfs._datanodes)[:3]]
-        finishes = []
+    def one(client, path, data):
+        yield env.process(client.write(path, data))
+        finishes.append((path, env.now))
 
-        def one(client, path, data):
-            if use_legacy:
-                yield env.process(legacy_hdfs_write(client, path, data))
-            else:
-                yield env.process(client.write(path, data))
-            finishes.append((path, env.now))
-
-        for client, (path, data) in zip(clients, jobs):
-            env.process(one(client, path, data))
-        env.run()
-        stored = {path: hdfs.read_file_sync(path) for path, _ in jobs}
-        return finishes, stored
-
-    old, old_stored = drive(use_legacy=True)
-    new, new_stored = drive(use_legacy=False)
-    assert new_stored == old_stored
-    for (p_new, t_new), (p_old, t_old) in zip(new, old):
+    for client, (path, data) in zip(clients, jobs):
+        env.process(one(client, path, data))
+    env.run()
+    for path, data in jobs:
+        assert hdfs.read_file_sync(path) == data
+    assert len(finishes) == len(golden["finishes"])
+    for (p_new, t_new), (p_old, t_old) in zip(finishes, golden["finishes"]):
         assert p_new == p_old
-        assert t_new == pytest.approx(t_old, abs=1e-9)
+        assert t_new == pytest.approx(t_old, abs=TOL)
+    assert transfers[0] == golden["transfers"]
 
 
 # -------------------------------------------------------------- PFS writes
 @pytest.mark.parametrize("seed,offset,n_bytes", [
     (1, 0, 50), (2, 0, 1000), (3, 37, 613), (4, 250, 901), (5, 99, 1),
 ])
-def test_pfs_write_matches_legacy(seed, offset, n_bytes):
-    """Default-knob PFSClient.write ≡ frozen unbounded stripe pushes,
-    including odd offsets that start mid-stripe."""
+def test_pfs_write_matches_legacy(seed, offset, n_bytes, golden, transfers):
+    """Default-knob PFSClient.write ≡ unbounded stripe pushes, including
+    odd offsets that start mid-stripe."""
     data = payload(n_bytes, seed=seed)
-
-    def drive(use_legacy):
-        env, pfs, client = make_pfs_world(stripe_size=100, stripe_count=4)
-        # pre-create so both worlds write into an identical layout and
-        # the offset write has a defined prefix
-        pfs.store_file("/f", payload(offset + n_bytes, seed=seed + 100))
-        if use_legacy:
-            run(env, legacy_pfs_write(client, "/f", data, offset=offset))
-        else:
-            run(env, client.write("/f", data, offset=offset))
-        return env.now, pfs.read_file_sync("/f"), client.bytes_written
-
-    old_now, old_bytes, _old_written = drive(use_legacy=True)
-    new_now, new_bytes, new_written = drive(use_legacy=False)
-    assert new_bytes == old_bytes
-    assert new_bytes[offset:offset + n_bytes] == data
-    assert new_written == n_bytes  # the satellite accounting fix
-    assert new_now == pytest.approx(old_now, abs=1e-9)
+    env, pfs, client = make_pfs_world(stripe_size=100, stripe_count=4)
+    # pre-create so the write lands in the recorded layout and the
+    # offset write has a defined prefix
+    pfs.store_file("/f", payload(offset + n_bytes, seed=seed + 100))
+    run(env, client.write("/f", data, offset=offset))
+    stored = pfs.read_file_sync("/f")
+    assert zlib.crc32(stored) == golden["crc"]
+    assert stored[offset:offset + n_bytes] == data
+    assert client.bytes_written == n_bytes
+    assert env.now == pytest.approx(golden["elapsed"], abs=TOL)
+    assert transfers[0] == golden["transfers"]
 
 
-def test_pfs_write_creates_file_like_legacy():
+def test_pfs_write_creates_file_like_legacy(golden, transfers):
     data = payload(333, seed=7)
-
-    def drive(use_legacy):
-        env, pfs, client = make_pfs_world(stripe_size=64, stripe_count=4)
-        writer = (legacy_pfs_write(client, "/new", data) if use_legacy
-                  else client.write("/new", data))
-        run(env, writer)
-        return env.now, pfs.read_file_sync("/new")
-
-    old_now, old_bytes = drive(use_legacy=True)
-    new_now, new_bytes = drive(use_legacy=False)
-    assert new_bytes == old_bytes == data
-    assert new_now == pytest.approx(old_now, abs=1e-9)
+    env, pfs, client = make_pfs_world(stripe_size=64, stripe_count=4)
+    run(env, client.write("/new", data))
+    assert pfs.read_file_sync("/new") == data
+    assert env.now == pytest.approx(golden["elapsed"], abs=TOL)
+    assert transfers[0] == golden["transfers"]
 
 
 # ------------------------------------------------------------ MPI-IO writes
@@ -159,8 +130,9 @@ def make_mpi_world(n_ranks=4):
 
 
 @pytest.mark.parametrize("seed", [2, 9, 31])
-def test_write_at_all_matches_legacy(seed):
-    """Default-knob MPIFile.write_at_all ≡ frozen two-phase collective."""
+def test_write_at_all_matches_legacy(seed, golden, transfers):
+    """Default-knob MPIFile.write_at_all ≡ the two-phase collective over
+    unbounded stripe pushes."""
     rng = random.Random(seed)
     total = 2000
     cuts = sorted(rng.sample(range(1, total), 3))
@@ -173,21 +145,19 @@ def test_write_at_all_matches_legacy(seed):
     if all(req is None for req in requests):
         requests[0] = (bounds[0][0], data[bounds[0][0]:bounds[0][1]])
 
-    def drive(use_legacy):
-        env, pfs, clients = make_mpi_world(n_ranks=len(requests))
-        # pre-store a full base file so non-writer ranks' holes read
-        # back as defined bytes in both worlds
-        pfs.store_file("/out", payload(total, seed=seed + 500))
-        handle = MPIFile.open(clients, "/out")
-        writer = (legacy_write_at_all(handle, requests) if use_legacy
-                  else handle.write_at_all(requests))
-        run(env, writer)
-        return env.now, pfs.read_file_sync("/out")
-
-    old_now, old_bytes = drive(use_legacy=True)
-    new_now, new_bytes = drive(use_legacy=False)
-    assert new_bytes == old_bytes
-    assert new_now == pytest.approx(old_now, abs=1e-9)
+    env, pfs, clients = make_mpi_world(n_ranks=len(requests))
+    # pre-store a full base file so non-writer ranks' holes read back
+    # as defined bytes
+    pfs.store_file("/out", payload(total, seed=seed + 500))
+    handle = MPIFile.open(clients, "/out")
+    run(env, handle.write_at_all(requests))
+    stored = pfs.read_file_sync("/out")
+    assert zlib.crc32(stored) == golden["crc"]
+    for req in requests:
+        if req is not None:
+            assert stored[req[0]:req[0] + len(req[1])] == req[1]
+    assert env.now == pytest.approx(golden["elapsed"], abs=TOL)
+    assert transfers[0] == golden["transfers"]
 
 
 # ----------------------------------------------- non-default knob sanity

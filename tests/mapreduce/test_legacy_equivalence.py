@@ -1,25 +1,21 @@
-"""Twin-world tests: production shuffle vs the frozen legacy copies.
+"""Production shuffle vs naive oracles and the recorded reduce path.
 
-With every shuffle knob at its default (overlap off, no parallel
-copies, single-attempt fetches, unbounded merge) the refactored data
-path must be *invisible*: identical partition assignments, identical
-merged byte streams, and job/task timings pinned to 1e-9 against
-:mod:`repro.mapreduce._legacy` — the same twin-world discipline as
-``sim/_legacy.py`` and ``io/_legacy.py``.
+The shuffle's arithmetic (partitioning, merging, size estimates) is
+checked against the scalar references in ``tests/oracles.py``: identical
+partition assignments, identical merged record streams, identical
+sizes. With every shuffle knob at its default (overlap off, no parallel
+copies, single-attempt fetches, unbounded merge) the reduce task must
+also reproduce the serial-barrier task it replaced — one ``AllOf`` over
+every map output, a materializing merge — whose job/task timings,
+counters and output digest are recorded in
+``tests/golden/mapreduce.json`` and checked to 1e-9.
 """
 
 import random
 
 import pytest
 
-import repro.mapreduce.runtime as runtime_mod
 from repro.mapreduce import JobConf, JobRunner, TextInputFormat
-from repro.mapreduce._legacy import (
-    LegacyReduceTask,
-    legacy_estimate_size,
-    legacy_hash_partition,
-    legacy_merge_sorted_runs,
-)
 from repro.mapreduce import shuffle
 from repro.mapreduce.shuffle import (
     estimate_records,
@@ -30,7 +26,15 @@ from repro.mapreduce.shuffle import (
     sort_run,
 )
 
-from tests.mapreduce.conftest import run, world  # noqa: F401 (fixture)
+from tests.golden import digest, load_golden
+from tests.mapreduce.conftest import run
+from tests.oracles import (
+    naive_estimate_size,
+    naive_hash_partition,
+    naive_merge_sorted_runs,
+)
+
+GOLDEN = load_golden("mapreduce")["cases"]
 
 
 # ------------------------------------------------------ pure functions
@@ -59,7 +63,7 @@ def test_hash_partition_matches_legacy_fold(seed):
     for _ in range(500):
         key = random_key(rng)
         n = rng.choice([1, 2, 7, 64, 1009])
-        assert hash_partition(key, n) == legacy_hash_partition(key, n), key
+        assert hash_partition(key, n) == naive_hash_partition(key, n), key
 
 
 def test_hash_partition_vector_path_exact_on_long_keys():
@@ -67,7 +71,7 @@ def test_hash_partition_vector_path_exact_on_long_keys():
     for n in [31, 32, 33, 1000, 65536]:
         key = bytes((i * 37 + 11) % 256 for i in range(n))
         assert hash_partition(key, 0x7FFFFFFF) == \
-            legacy_hash_partition(key, 0x7FFFFFFF)
+            naive_hash_partition(key, 0x7FFFFFFF)
 
 
 @pytest.mark.parametrize("seed", [5, 13])
@@ -79,13 +83,13 @@ def test_streaming_merge_matches_legacy_merge(seed):
                       for _ in range(rng.randrange(0, 12))])
             for _ in range(rng.randrange(0, 6))
         ]
-        assert merge_sorted_runs(runs) == legacy_merge_sorted_runs(runs)
+        assert merge_sorted_runs(runs) == naive_merge_sorted_runs(runs)
 
 
 def test_streaming_merge_equal_key_order_matches_legacy():
     # Equal keys must come out in run order then record order.
     runs = [[("k", 0), ("k", 1)], [("k", 2)], [("a", 9), ("k", 3)]]
-    assert merge_sorted_runs(runs) == legacy_merge_sorted_runs(runs)
+    assert merge_sorted_runs(runs) == naive_merge_sorted_runs(runs)
 
 
 def test_estimate_size_matches_legacy_on_acyclic_structures():
@@ -107,13 +111,13 @@ def test_estimate_size_matches_legacy_on_acyclic_structures():
 
     for _ in range(200):
         obj = random_obj()
-        assert estimate_size(obj) == legacy_estimate_size(obj)
+        assert estimate_size(obj) == naive_estimate_size(obj)
 
 
 def test_estimate_size_shared_substructure_counted_like_legacy():
     shared = [b"payload"]
     obj = [shared, shared]  # a DAG, not a cycle: both copies count
-    assert estimate_size(obj) == legacy_estimate_size(obj)
+    assert estimate_size(obj) == naive_estimate_size(obj)
 
 
 # ------------------------------------------- run-at-a-time batch calls
@@ -169,7 +173,7 @@ def test_batch_partition_matches_legacy_fold_per_key(seed):
     for name, keys in key_sets(rng):
         for n in [1, 4, 7, 1009, 0x7FFFFFFF]:
             assert hash_partition_many(keys, n) == [
-                legacy_hash_partition(key, n) for key in keys], (name, n)
+                naive_hash_partition(key, n) for key in keys], (name, n)
 
 
 def test_partition_run_keeps_record_order_inside_each_bucket():
@@ -177,7 +181,7 @@ def test_partition_run_keeps_record_order_inside_each_bucket():
     records = [(_random_bytes(rng, 6), i) for i in range(500)]
     buckets = shuffle.partition_run(records, 5)
     assert [
-        [kv for kv in records if legacy_hash_partition(kv[0], 5) == p]
+        [kv for kv in records if naive_hash_partition(kv[0], 5) == p]
         for p in range(5)] == buckets
 
 
@@ -202,7 +206,7 @@ def test_batch_merge_matches_legacy_merge_record_for_record(seed):
         for _ in range(60):
             runs = _random_runs(rng, make_key)
             merged = merge_sorted_runs(runs)
-            assert merged == legacy_merge_sorted_runs(runs)
+            assert merged == naive_merge_sorted_runs(runs)
             assert merged == list(shuffle.merge_sorted_streams(runs))
     assert merge_sorted_runs([]) == []
     assert merge_sorted_runs([[], []]) == []
@@ -221,11 +225,11 @@ def test_estimate_records_is_the_sum_of_legacy_sizes():
             for n in [0, 1, 50]:
                 records = [(make_key(), make_value()) for _ in range(n)]
                 assert estimate_records(records) == sum(
-                    legacy_estimate_size(k) + legacy_estimate_size(v)
+                    naive_estimate_size(k) + naive_estimate_size(v)
                     for k, v in records)
 
 
-# ------------------------------------------------- twin-world job runs
+# ------------------------------------------------- recorded job runs
 
 TEXT = (b"the quick brown fox\njumps over the lazy dog\n"
         b"the dog barks\nfox and dog\n") * 25
@@ -240,23 +244,6 @@ def wc_map(ctx, _offset, line):
 def wc_reduce(ctx, key, values):
     ctx.emit(key, sum(values))
     ctx.charge(1e-7 * len(values))
-
-
-def run_wordcount(world_factory, reduce_task_cls, monkeypatch, **conf):
-    env, cluster, hdfs, nodes = world_factory()
-    hdfs.store_file_sync("/in/text.txt", TEXT)
-    with monkeypatch.context() as patch:
-        patch.setattr(runtime_mod, "ReduceTask", reduce_task_cls)
-        settings = dict(
-            name="twin", mapper=wc_map, reducer=wc_reduce,
-            input_format=TextInputFormat(), n_reducers=3,
-            input_paths=["/in"], map_slots_per_node=2,
-            task_startup=0.01, output_path="/out")
-        settings.update(conf)
-        job = JobConf(**settings)
-        runner = JobRunner(env, nodes, hdfs, cluster.network, job)
-        result = run(env, runner.run())
-    return result
 
 
 def fresh_world():
@@ -275,33 +262,43 @@ def fresh_world():
     return env, cluster, hdfs, nodes
 
 
+def run_wordcount(**conf):
+    env, cluster, hdfs, nodes = fresh_world()
+    hdfs.store_file_sync("/in/text.txt", TEXT)
+    settings = dict(
+        name="twin", mapper=wc_map, reducer=wc_reduce,
+        input_format=TextInputFormat(), n_reducers=3,
+        input_paths=["/in"], map_slots_per_node=2,
+        task_startup=0.01, output_path="/out")
+    settings.update(conf)
+    runner = JobRunner(env, nodes, hdfs, cluster.network,
+                       JobConf(**settings))
+    return run(env, runner.run())
+
+
 @pytest.mark.parametrize("conf", [
     {},                                    # plain wordcount
     {"combiner": wc_reduce},               # map-side combiner (shared code)
     {"n_reducers": 1},                     # single fat partition
 ])
-def test_default_knobs_pin_legacy_reduce_timings(monkeypatch, conf):
-    new = run_wordcount(fresh_world, runtime_mod.ReduceTask,
-                        monkeypatch, **conf)
-    old = run_wordcount(fresh_world, LegacyReduceTask, monkeypatch, **conf)
+def test_default_knobs_pin_legacy_reduce_timings(request, conf):
+    new = run_wordcount(**conf)
+    old = GOLDEN[request.node.name]
 
     # Job end-to-end timing pinned to 1e-9.
-    assert new.duration == pytest.approx(old.duration, abs=1e-9)
-    assert new.end == pytest.approx(old.end, abs=1e-9)
+    assert new.duration == pytest.approx(old["duration"], abs=1e-9)
+    assert new.end == pytest.approx(old["end"], abs=1e-9)
 
     # Per-reduce-task start/end pinned to 1e-9, pairwise.
     new_r = sorted(new.stats_for("reduce"), key=lambda s: s.task_id)
-    old_r = sorted(old.stats_for("reduce"), key=lambda s: s.task_id)
-    assert len(new_r) == len(old_r) > 0
-    for s_new, s_old in zip(new_r, old_r):
-        assert s_new.start == pytest.approx(s_old.start, abs=1e-9)
-        assert s_new.end == pytest.approx(s_old.end, abs=1e-9)
+    assert len(new_r) == len(old["reduces"]) > 0
+    for stats, (start, end) in zip(new_r, old["reduces"]):
+        assert stats.start == pytest.approx(start, abs=1e-9)
+        assert stats.end == pytest.approx(end, abs=1e-9)
 
     # Identical byte streams: same partition assignment, same merged
     # record order, same persisted outputs.
-    assert new.outputs == old.outputs
-    assert new.output_paths == old.output_paths
-    assert new.counters.value("shuffle", "bytes") == \
-        old.counters.value("shuffle", "bytes")
-    assert new.counters.value("reduce", "groups") == \
-        old.counters.value("reduce", "groups")
+    assert digest(new.outputs) == old["outputs_crc"]
+    assert new.output_paths == old["output_paths"]
+    assert new.counters.value("shuffle", "bytes") == old["shuffle_bytes"]
+    assert new.counters.value("reduce", "groups") == old["reduce_groups"]

@@ -1,12 +1,16 @@
-"""Columnar recording core: storage units and twin-world equivalence.
+"""Columnar recording core: storage units and recorded-export equivalence.
 
-The twin-world tests are the v2 acceptance bar: the frozen v1 recorders
-(``repro.obs._legacy``) and the columnar rewrite drive the *same*
-workload, and the exported traces must be **byte-identical** while
-report-level numbers agree to 1e-9.
+The columnar recorders must be invisible in what they export: the
+per-object recorder they replaced (one ``Span`` object per event, two
+Python lists per monitor) drove the *same* workloads once, and the
+digests of what it exported are in ``tests/golden/obs.json``. Exported
+traces must match **byte for byte**; ``Monitor`` statistics are checked
+to 1e-9 against plain-Python arithmetic written out below.
 """
 
 import json
+import math
+import zlib
 
 import numpy as np
 import pytest
@@ -14,15 +18,16 @@ import pytest
 from repro.cluster import Cluster
 from repro.hdfs import HDFS
 from repro.mapreduce import JobConf, JobRunner, TextInputFormat
-from repro.obs._legacy import LegacyMonitor, LegacyTracer
 from repro.obs.columnar import ColumnarLog, Table
-from repro.obs.trace import TraceSession, Tracer, attach_tracer, \
-    chrome_events
+from repro.obs.trace import TraceSession, attach_tracer, chrome_events
 from repro.sim import Environment
 from repro.sim.columns import FloatColumn
 from repro.sim.stats import Monitor
 
+from tests.golden import digest, load_golden
 from tests.mapreduce.conftest import run, small_spec
+
+GOLDEN = load_golden("obs")
 
 
 # --------------------------------------------------------------------------
@@ -85,11 +90,11 @@ def test_columnar_log_interns_keys_once():
 
 
 # --------------------------------------------------------------------------
-# Twin-world equivalence
+# Recorded-export equivalence
 # --------------------------------------------------------------------------
 
 def _drive(tracer, env):
-    """One deterministic event mix through either tracer's public API."""
+    """One deterministic event mix through the tracer's public API."""
     def proc():
         with tracer.span("outer", cat="test", track="n0.s0", idx=1):
             yield env.timeout(2)
@@ -108,26 +113,24 @@ def _drive(tracer, env):
 
 
 def test_twin_tracers_export_identical_events():
-    env1 = Environment()
-    legacy = attach_tracer(env1, LegacyTracer(env1))
-    _drive(legacy, env1)
+    env = Environment()
+    tracer = attach_tracer(env)
+    _drive(tracer, env)
+    want = GOLDEN["tracer"]
 
-    env2 = Environment()
-    v2 = attach_tracer(env2)
-    assert isinstance(v2, Tracer)
-    _drive(v2, env2)
-
-    # the v1-shaped views agree exactly...
-    assert [(s.name, s.cat, s.track, s.start, s.end, s.args)
-            for s in legacy.spans] == \
-        [(s.name, s.cat, s.track, s.start, s.end, s.args)
-         for s in v2.spans]
-    assert legacy.instants == v2.instants
-    assert legacy.counter_samples == v2.counter_samples
+    # the per-object views agree exactly...
+    spans = [(s.name, s.cat, s.track, s.start, s.end, s.args)
+             for s in tracer.spans]
+    assert len(spans) == want["n_spans"]
+    assert digest(spans) == want["spans_crc"]
+    assert len(tracer.instants) == want["n_instants"]
+    assert digest(list(tracer.instants)) == want["instants_crc"]
+    assert len(tracer.counter_samples) == want["n_counters"]
+    assert digest(list(tracer.counter_samples)) == want["counters_crc"]
     # ...and the exported event stream is byte-identical
-    ev1 = chrome_events(legacy, pid=3, process_name="twin")
-    ev2 = chrome_events(v2, pid=3, process_name="twin")
-    assert json.dumps(ev1, sort_keys=True) == json.dumps(ev2, sort_keys=True)
+    events = chrome_events(tracer, pid=3, process_name="twin")
+    assert zlib.crc32(json.dumps(events, sort_keys=True).encode()) \
+        == want["chrome_events_crc"]
 
 
 def _word_count_world():
@@ -150,10 +153,8 @@ def _reducer(ctx, key, values):
     ctx.emit(key, sum(values))
 
 
-def _run_traced_job(path, legacy: bool):
+def _run_traced_job(path):
     env, cluster, hdfs, nodes = _word_count_world()
-    if legacy:
-        attach_tracer(env, LegacyTracer(env))
     session = TraceSession(str(path))
     session.observe(env, "twin", nodes=nodes, hdfs=hdfs,
                     network=cluster.network)
@@ -170,41 +171,53 @@ def _run_traced_job(path, legacy: bool):
 
 @pytest.mark.parametrize("suffix", [".json", ".jsonl"])
 def test_twin_worlds_export_byte_identical_traces(tmp_path, suffix):
-    """A full mapreduce run traced by the frozen v1 recorder and by the
-    columnar v2 recorder writes byte-identical trace files."""
-    p1 = tmp_path / f"legacy{suffix}"
-    p2 = tmp_path / f"columnar{suffix}"
-    r1 = _run_traced_job(p1, legacy=True)
-    r2 = _run_traced_job(p2, legacy=False)
-    assert r1.duration == r2.duration  # instrumentation moved no event
-    assert p1.read_bytes() == p2.read_bytes()
+    """A full traced mapreduce run writes, byte for byte, the trace file
+    the per-object recorder wrote."""
+    path = tmp_path / f"columnar{suffix}"
+    result = _run_traced_job(path)
+    want = GOLDEN["traced_job"][suffix]
+    assert result.duration == want["duration"]  # recording moved no event
+    blob = path.read_bytes()
+    assert len(blob) == want["length"]
+    assert zlib.crc32(blob) == want["crc32"]
 
 
 def test_twin_monitors_agree_to_1e9():
-    """Monitor (columnar) and LegacyMonitor agree on every derived
-    statistic over an identical irregular sample stream."""
-    env1, env2 = Environment(), Environment()
-    v1 = LegacyMonitor(env1, "m")
-    v2 = Monitor(env2, "m")
+    """Monitor (columnar, numpy reductions) agrees with plain-Python
+    arithmetic over two lists on every derived statistic of an irregular
+    sample stream."""
+    env = Environment()
+    mon = Monitor(env, "m")
+    times, values = [], []
 
-    def feed(env, mon):
-        def proc():
-            for i in range(500):
-                mon.record((i * 7919 % 1000) / 33.0)
-                yield env.timeout(0.1 + (i % 13) * 0.01)
-        env.process(proc())
-        env.run()
+    def proc():
+        for i in range(500):
+            value = (i * 7919 % 1000) / 33.0
+            times.append(env.now)
+            values.append(value)
+            mon.record(value)
+            yield env.timeout(0.1 + (i % 13) * 0.01)
 
-    feed(env1, v1)
-    feed(env2, v2)
-    assert v2.times == v1.times
-    assert v2.values == v1.values
-    assert v2.mean == pytest.approx(v1.mean, abs=1e-9)
-    assert v2.minimum == pytest.approx(v1.minimum, abs=1e-9)
-    assert v2.maximum == pytest.approx(v1.maximum, abs=1e-9)
-    assert v2.stdev == pytest.approx(v1.stdev, abs=1e-9)
-    assert v2.time_average(env2.now) == \
-        pytest.approx(v1.time_average(env1.now), abs=1e-9)
+    env.process(proc())
+    env.run()
+    assert mon.times == times
+    assert mon.values == values
+
+    mean = sum(values) / len(values)
+    stdev = math.sqrt(
+        sum((v - mean) ** 2 for v in values) / (len(values) - 1))
+    # step function: each sample holds until the next one (or the end)
+    weighted = span = 0.0
+    for t, t_next, v in zip(times, times[1:] + [env.now], values):
+        weighted += v * (t_next - t)
+        span += t_next - t
+
+    assert mon.mean == pytest.approx(mean, abs=1e-9)
+    assert mon.minimum == min(values)
+    assert mon.maximum == max(values)
+    assert mon.stdev == pytest.approx(stdev, abs=1e-9)
+    assert mon.time_average(env.now) == \
+        pytest.approx(weighted / span, abs=1e-9)
 
 
 # --------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.io.planner import coalesce_extents
 from repro.pfs import PFS, PFSClient, PFSError, StripeLayout
-from repro.pfs.client import coalesce_extents
 from repro.pfs.layout import Extent
 
 from tests.pfs.conftest import run, small_spec

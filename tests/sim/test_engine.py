@@ -49,6 +49,22 @@ def test_negative_delay_rejected():
         env.timeout(-1)
 
 
+def test_nan_delay_rejected(wall_clock_guard):
+    """NaN sorts nowhere: filed as a zero delay it would fire at once,
+    whatever the caller meant. Both construction paths refuse it."""
+    env = Environment()
+    nan = float("nan")
+    with pytest.raises(ValueError, match="delay must be >= 0, got nan"):
+        env.timeout(nan)  # empty pool: Timeout.__init__
+    env.timeout(1.0)
+    env.run()
+    assert env._timeout_pool  # the fired timeout was recycled
+    with pytest.raises(ValueError, match="delay must be >= 0, got nan"):
+        env.timeout(nan)  # pooled path
+    env.run(until=1000)
+    assert env.now == 1000
+
+
 def test_processes_interleave_deterministically():
     env = Environment()
     order = []

@@ -1,29 +1,27 @@
-"""Twin-world equivalence: the live engine vs the frozen legacy engine.
+"""Event order of the engine, pinned to a recorded digest.
 
-The PR-7 engine rebuild (slotted events, pooled free-lists, same-time
-FIFO buckets, tombstone detach) must be a pure performance change: with
-the default knobs every simulation pops the same events in the same
-order at the same clocks. These tests drive a seeded random program —
-mixed timeouts, zero-delay handoffs, manual events, process joins,
-AllOf/AnyOf conditions, and interrupts — through both engines and
-require the full execution traces to match at 1e-9.
+The engine's optimisations (slotted events, pooled free-lists, same-time
+FIFO buckets, tombstone detach) must not move an event: every simulation
+pops the same events in the same order at the same clocks as one plain
+``(time, priority, seq)`` heap. These tests drive a seeded random
+program — mixed timeouts, zero-delay handoffs, manual events, process
+joins, AllOf/AnyOf conditions, and interrupts — and hold the execution
+trace to ``tests/golden/sim.json``, recorded from such a heap engine.
 """
 
 import random
 
 import pytest
 
-from repro.sim._legacy import LegacyEnvironment
 from repro.sim.engine import Environment, Interrupt
 
-ENGINES = [
-    pytest.param(Environment, id="live"),
-    pytest.param(LegacyEnvironment, id="legacy"),
-]
+from tests.golden import digest, load_golden
+
+GOLDEN = load_golden("sim")
 
 
 def _make_script(seed, n_workers=12, n_steps=8, n_gates=3):
-    """Precompute every random choice so both worlds see one schedule."""
+    """Every random choice of the program, drawn up front from ``seed``."""
     rng = random.Random(seed)
     kinds = ["timeout", "zero", "gate", "spawn", "both", "either"]
     script = [[(rng.choice(kinds), round(rng.uniform(0.1, 3.0), 3))
@@ -35,8 +33,9 @@ def _make_script(seed, n_workers=12, n_steps=8, n_gates=3):
     return script, snipes, gate_fires
 
 
-def _run_chaos(env, interrupt_cls, seed):
-    """Drive the seeded program on ``env``; returns the execution trace."""
+def _run_chaos(seed):
+    """Drive the seeded program; returns (trace, final clock, seq)."""
+    env = Environment()
     script, snipes, gate_fires = _make_script(seed)
     gates = [env.event() for _ in gate_fires]
     trace = []
@@ -66,7 +65,7 @@ def _run_chaos(env, interrupt_cls, seed):
                     yield env.any_of([env.timeout(delay),
                                       env.timeout(delay * 2)])
                 trace.append(("step", wid, i, env.now))
-        except interrupt_cls as intr:
+        except Interrupt as intr:
             trace.append(("interrupted", wid, intr.cause, env.now))
 
     workers = [env.process(worker(w, steps))
@@ -93,47 +92,39 @@ def _run_chaos(env, interrupt_cls, seed):
     return trace, env.now, env._seq
 
 
-def _assert_traces_match(legacy, live):
-    legacy_trace, legacy_now, legacy_seq = legacy
-    live_trace, live_now, live_seq = live
-    assert len(live_trace) == len(legacy_trace)
-    for got, want in zip(live_trace, legacy_trace):
-        # every record ends with the clock; everything before it is
-        # discrete (tags, ids, causes) and must match exactly
-        assert got[:-1] == want[:-1]
-        assert got[-1] == pytest.approx(want[-1], abs=1e-9)
-    assert live_now == pytest.approx(legacy_now, abs=1e-9)
-    assert live_seq == legacy_seq  # same number of scheduler insertions
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 2024])
 def test_randomized_twin_world_identical_order(seed):
-    legacy = _run_chaos(LegacyEnvironment(), Interrupt, seed)
-    live = _run_chaos(Environment(), Interrupt, seed)
-    _assert_traces_match(legacy, live)
+    trace, now, seq = _run_chaos(seed)
+    want = GOLDEN["chaos"][str(seed)]
+    assert len(trace) == want["records"]
+    # every record ends with the clock; everything before it is discrete
+    # (tags, ids, causes). The clocks are sums of the script's 3-decimal
+    # delays in pop order, so their exact reprs are part of the order.
+    assert digest([rec[:-1] for rec in trace]) == want["order_crc"]
+    assert digest([rec[-1] for rec in trace]) == want["clock_crc"]
+    assert now == pytest.approx(want["now"], abs=1e-9)
+    assert seq == want["seq"]  # same number of scheduler insertions
 
 
 def test_twin_world_exception_surfaces_identically():
-    def boom_world(env):
-        def victim():
-            yield env.timeout(2.5)
-            raise RuntimeError("spilled the shuffle")
+    env = Environment()
 
-        def bystander():
-            yield env.timeout(1.0)
+    def victim():
+        yield env.timeout(2.5)
+        raise RuntimeError("spilled the shuffle")
 
-        env.process(bystander())
-        env.process(victim())
-        with pytest.raises(RuntimeError, match="spilled the shuffle"):
-            env.run()
-        return env.now
+    def bystander():
+        yield env.timeout(1.0)
 
-    legacy_now = boom_world(LegacyEnvironment())
-    live_now = boom_world(Environment())
-    assert live_now == pytest.approx(legacy_now, abs=1e-9)
+    env.process(bystander())
+    env.process(victim())
+    with pytest.raises(RuntimeError, match="spilled the shuffle"):
+        env.run()
+    assert env.now == pytest.approx(GOLDEN["exception_now"], abs=1e-9)
 
 
-@pytest.mark.parametrize("env_cls", ENGINES)
+# one parameter left of two (the other engine is gone); kept for the test id
+@pytest.mark.parametrize("env_cls", [pytest.param(Environment, id="live")])
 def test_zero_delay_handoffs_preserve_fifo(env_cls):
     """Delay-0 timeouts at one timestamp fire in schedule order."""
     env = env_cls()

@@ -1,30 +1,24 @@
-"""Fluid-approximation knob on SharedBandwidth.
+"""Idle-pipe closed-form admission on SharedBandwidth.
 
-Fluid mode (opt-in, default OFF) collapses an uncontended transfer to
-one closed-form completion timeout instead of entering the PS heap.
-The contract: uncontended transfers are *bit-identical* to the PS path
-(same events, same times, same observer sequence, same accounting), and
-a second arrival re-expands the in-flight transfer with its exact
-remaining bytes so contention is still modelled precisely.
+A transfer admitted to an idle pipe is one closed-form completion
+timeout instead of a heap entry. The contract, held against the naive
+rescan oracle: uncontended transfers are *bit-identical* (same events,
+same times, same observer sequence, same accounting), and a second
+arrival re-expands the in-flight transfer with its exact remaining
+bytes so contention is still modelled precisely.
 """
 
 import pytest
 
-import repro.sim.resources as resources
 from repro.sim.engine import Environment
 from repro.sim.resources import SharedBandwidth
 
+from tests.oracles import NaiveSharedBandwidth
 
-def test_fluid_defaults_off():
-    assert resources.FLUID_TRANSFERS is False
+
+def _uncontended_world(pipe_cls):
     env = Environment()
-    assert SharedBandwidth(env, 10.0).fluid is False
-    assert SharedBandwidth(env, 10.0, fluid=True).fluid is True
-
-
-def _uncontended_world(fluid):
-    env = Environment()
-    pipe = SharedBandwidth(env, capacity=100.0, fluid=fluid)
+    pipe = pipe_cls(env, capacity=100.0)
     observer_calls = []
     pipe.observer = observer_calls.append
     completions = []
@@ -51,14 +45,14 @@ def _uncontended_world(fluid):
 
 
 def test_fluid_uncontended_bit_identical_to_ps():
-    ps = _uncontended_world(fluid=False)
-    fl = _uncontended_world(fluid=True)
+    ps = _uncontended_world(NaiveSharedBandwidth)
+    fl = _uncontended_world(SharedBandwidth)
     assert fl == ps  # exact: same events, clocks, observers, accounting
 
 
-def _contended_world(fluid):
+def _contended_world(pipe_cls):
     env = Environment()
-    pipe = SharedBandwidth(env, capacity=100.0, fluid=fluid)
+    pipe = pipe_cls(env, capacity=100.0)
     completions = {}
 
     def one(name, at, nbytes):
@@ -66,8 +60,8 @@ def _contended_world(fluid):
         yield pipe.transfer(nbytes)
         completions[name] = env.now
 
-    # "b" arrives mid-flight: in fluid mode "a" must re-expand into the
-    # PS heap with exactly its remaining bytes (1000 - 2s*100 = 800)
+    # "b" arrives mid-flight: "a" must re-expand into the heap with
+    # exactly its remaining bytes (1000 - 2s*100 = 800)
     env.process(one("a", 0.0, 1000.0))
     env.process(one("b", 2.0, 300.0))
     env.process(one("c", 30.0, 100.0))  # idle again by then
@@ -76,8 +70,8 @@ def _contended_world(fluid):
 
 
 def test_fluid_collapse_preserves_ps_timings():
-    ps_done, ps_busy, ps_bytes = _contended_world(fluid=False)
-    fl_done, fl_busy, fl_bytes = _contended_world(fluid=True)
+    ps_done, ps_busy, ps_bytes = _contended_world(NaiveSharedBandwidth)
+    fl_done, fl_busy, fl_bytes = _contended_world(SharedBandwidth)
     assert fl_done.keys() == ps_done.keys()
     for name in ps_done:
         assert fl_done[name] == pytest.approx(ps_done[name], abs=1e-9)
@@ -87,7 +81,7 @@ def test_fluid_collapse_preserves_ps_timings():
 
 def test_fluid_n_active_counts_inflight_transfer():
     env = Environment()
-    pipe = SharedBandwidth(env, capacity=100.0, fluid=True)
+    pipe = SharedBandwidth(env, capacity=100.0)
     snapshots = []
 
     def mover():
@@ -102,15 +96,3 @@ def test_fluid_n_active_counts_inflight_transfer():
     env.process(sampler())
     env.run()
     assert snapshots == [("mid", 1, 1.0), ("done", 0, 5.0)]
-
-
-def test_fluid_knob_flips_at_module_level():
-    """FLUID_TRANSFERS seeds the per-pipe default at construction."""
-    env = Environment()
-    resources.FLUID_TRANSFERS = True
-    try:
-        assert SharedBandwidth(env, 10.0).fluid is True
-        # explicit argument still wins over the module default
-        assert SharedBandwidth(env, 10.0, fluid=False).fluid is False
-    finally:
-        resources.FLUID_TRANSFERS = False

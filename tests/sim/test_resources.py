@@ -290,6 +290,22 @@ def test_bytes_moved_accounting():
     assert pipe.bytes_moved == pytest.approx(100.0)
 
 
+@pytest.mark.parametrize("nbytes,latency", [
+    (float("nan"), 0.0), (float("inf"), 0.0),
+    (1.0, float("nan")), (1.0, float("inf")),
+])
+def test_non_finite_transfer_rejected(wall_clock_guard, nbytes, latency):
+    """A NaN transfer used to be admitted (``nan < 0`` is false) and its
+    NaN wake delay rescheduled at the same instant forever."""
+    env = Environment()
+    pipe = SharedBandwidth(env, capacity=100.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        pipe.transfer(nbytes, latency=latency)
+    assert pipe.n_active == 0 and pipe.bytes_moved == 0.0
+    env.run(until=1000)  # nothing was admitted: returns at once
+    assert env.now == 1000
+
+
 def test_capacity_validation():
     env = Environment()
     with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
-"""Virtual-time SharedBandwidth vs the legacy O(n)-rescan model.
+"""SharedBandwidth vs the naive O(n)-rescan oracle.
 
-The rework must be invisible at the simulation level: identical
-completion times and order on arbitrary schedules, identical busy-time
-accounting, and no livelock on the sub-byte-residue edge the legacy
-force-finish branch papered over.
+Virtual time and the idle-pipe closed form must be invisible at the
+simulation level: identical completion times and order on arbitrary
+schedules, identical busy-time accounting and observer calls, and no
+livelock on the sub-byte-residue edge. The seeded schedules admit
+transfers while a lone one is in flight, so every run exercises the
+re-expansion into the heap.
 """
 
 import random
@@ -11,13 +13,16 @@ import random
 import pytest
 
 from repro.sim import Environment, SharedBandwidth
-from repro.sim._legacy import LegacySharedBandwidth
+
+from tests.oracles import NaiveSharedBandwidth
 
 
 def drive_schedule(pipe_cls, schedule, capacity=100.0):
     """Run (delay, nbytes, latency) triples; return [(idx, finish)]."""
     env = Environment()
     pipe = pipe_cls(env, capacity, "pipe")
+    pipe.observed = []
+    pipe.observer = lambda n: pipe.observed.append((n, pipe.n_active))
     done = []
 
     def one(idx, delay, nbytes, latency):
@@ -29,6 +34,19 @@ def drive_schedule(pipe_cls, schedule, capacity=100.0):
         env.process(one(idx, delay, nbytes, latency))
     env.run()
     return done, pipe
+
+
+def assert_same_run(live, naive):
+    (new, new_pipe), (old, old_pipe) = live, naive
+    assert [i for i, _ in new] == [i for i, _ in old]
+    for (_, t_new), (_, t_old) in zip(new, old):
+        assert t_new == pytest.approx(t_old, abs=1e-9)
+    assert new_pipe.bytes_moved == old_pipe.bytes_moved
+    assert new_pipe.busy_time == pytest.approx(old_pipe.busy_time, abs=1e-9)
+    # every membership change reports the same in-flight count, and
+    # n_active agrees with it at the moment of the call
+    assert new_pipe.observed == old_pipe.observed
+    assert new_pipe.n_active == old_pipe.n_active == 0
 
 
 HAND_SCHEDULES = [
@@ -47,13 +65,8 @@ HAND_SCHEDULES = [
 
 @pytest.mark.parametrize("schedule", HAND_SCHEDULES)
 def test_hand_schedules_match_legacy(schedule):
-    new, new_pipe = drive_schedule(SharedBandwidth, schedule)
-    old, old_pipe = drive_schedule(LegacySharedBandwidth, schedule)
-    assert [i for i, _ in new] == [i for i, _ in old]
-    for (_, t_new), (_, t_old) in zip(new, old):
-        assert t_new == pytest.approx(t_old, abs=1e-9)
-    assert new_pipe.bytes_moved == pytest.approx(old_pipe.bytes_moved)
-    assert new_pipe.busy_time == pytest.approx(old_pipe.busy_time)
+    assert_same_run(drive_schedule(SharedBandwidth, schedule),
+                    drive_schedule(NaiveSharedBandwidth, schedule))
 
 
 @pytest.mark.parametrize("seed", [1, 7, 20180710])
@@ -65,11 +78,9 @@ def test_randomized_schedules_match_legacy(seed):
          rng.choice([0.0, 0.0, rng.random() * 0.01]))
         for _ in range(200)
     ]
-    new, _ = drive_schedule(SharedBandwidth, schedule, capacity=1e6)
-    old, _ = drive_schedule(LegacySharedBandwidth, schedule, capacity=1e6)
-    assert [i for i, _ in new] == [i for i, _ in old]
-    for (_, t_new), (_, t_old) in zip(new, old):
-        assert t_new == pytest.approx(t_old, abs=1e-9)
+    assert_same_run(
+        drive_schedule(SharedBandwidth, schedule, capacity=1e6),
+        drive_schedule(NaiveSharedBandwidth, schedule, capacity=1e6))
 
 
 def test_completion_order_follows_admission_on_ties():
@@ -89,7 +100,7 @@ def test_completion_order_follows_admission_on_ties():
 
 
 def test_sub_byte_residue_does_not_livelock():
-    """Regression for the force-finish branch (satellite a).
+    """Regression for the force-finish branch.
 
     At a huge ``now`` a tiny residual drain time underflows
     (``now + delay == now``); without the force-finish floor the pipe
@@ -116,7 +127,7 @@ def test_sub_byte_residue_does_not_livelock():
 
 
 def test_sub_byte_residue_livelock_legacy_parity():
-    """The legacy model terminates on the same edge case; both agree."""
+    """The naive model terminates on the same edge case; both agree."""
     def run(pipe_cls):
         env = Environment(initial_time=1e10)
         pipe = pipe_cls(env, capacity=1e9)
@@ -132,7 +143,7 @@ def test_sub_byte_residue_livelock_legacy_parity():
         return done
 
     new = run(SharedBandwidth)
-    old = run(LegacySharedBandwidth)
+    old = run(NaiveSharedBandwidth)
     assert len(new) == len(old) == 3
     for t_new, t_old in zip(new, old):
         assert t_new == pytest.approx(t_old, abs=1e-6)

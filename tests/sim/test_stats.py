@@ -1,8 +1,8 @@
-"""Tests for monitors and interval timers."""
+"""Tests for monitors."""
 
 import pytest
 
-from repro.sim import Environment, IntervalTimer, Monitor
+from repro.sim import Environment, Monitor
 
 
 def test_monitor_records_time_and_value():
@@ -149,39 +149,3 @@ def test_monitor_survives_column_flush_boundary():
     assert mon.values[0] == 0.0
     assert mon.last == float(n - 1)
     assert mon.mean == pytest.approx((n - 1) / 2)
-
-
-def test_interval_timer_accumulates():
-    timer = IntervalTimer("t")
-    timer.add("read", 1.0)
-    timer.add("read", 2.0)
-    timer.add("plot", 0.5)
-    assert timer.total("read") == 3.0
-    assert timer.count("read") == 2
-    assert timer.mean("read") == 1.5
-    assert timer.total("missing") == 0.0
-    assert timer.as_dict() == {"read": 3.0, "plot": 0.5}
-
-
-def test_interval_timer_negative_rejected():
-    timer = IntervalTimer()
-    with pytest.raises(ValueError):
-        timer.add("x", -1)
-
-
-def test_interval_timer_mean_empty_raises():
-    timer = IntervalTimer()
-    with pytest.raises(ValueError):
-        timer.mean("nope")
-
-
-def test_interval_timer_merge():
-    a = IntervalTimer()
-    a.add("read", 1.0)
-    b = IntervalTimer()
-    b.add("read", 2.0)
-    b.add("plot", 3.0)
-    a.merge(b)
-    assert a.total("read") == 3.0
-    assert a.count("read") == 2
-    assert a.total("plot") == 3.0
