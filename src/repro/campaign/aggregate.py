@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.bench.reporting import format_table
 from repro.campaign.statepoint import statepoint_id
 from repro.campaign.workspace import PointRecord, Workspace
 
@@ -72,9 +71,3 @@ def aggregate_campaign(definition, workspace: Workspace, *,
 def campaign_table(definition, doc: dict) -> tuple:
     """``(columns, rows, note)`` for the aggregated document."""
     return definition.rows(doc)
-
-
-def render_table(definition, doc: dict) -> str:
-    """ASCII table via the shared reporting cell builders."""
-    columns, rows, note = campaign_table(definition, doc)
-    return format_table(definition.name, columns, rows, note)

@@ -37,14 +37,6 @@ class Disk:
         """The underlying bandwidth pipe — exposed for metrics watchers."""
         return self._pipe
 
-    @property
-    def bytes_moved(self) -> float:
-        return self._pipe.bytes_moved
-
-    @property
-    def n_active(self) -> int:
-        return self._pipe.n_active
-
 
 class Node:
     """A machine: CPU slots, memory container, disks, NIC pipes.

@@ -15,6 +15,7 @@ input format, so this class does both jobs:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from repro.core.reader import PFSReader
@@ -66,7 +67,7 @@ class SciDPInputFormat:
             else:
                 hdfs_paths.append(path)
         if hdfs_paths:
-            sub_job = _JobView(job, hdfs_paths)
+            sub_job = dataclasses.replace(job, input_paths=hdfs_paths)
             splits.extend((yield client.env.process(
                 self.delegate.get_splits(sub_job, storage, client))))
         if not splits:
@@ -120,14 +121,3 @@ class SciDPInputFormat:
             max_inflight=self.max_inflight,
             cache=cache)
         yield from reader.prefetch_block(virtual)
-
-
-class _JobView:
-    """A job facade with a restricted input path list for the delegate."""
-
-    def __init__(self, job, input_paths):
-        self._job = job
-        self.input_paths = input_paths
-
-    def __getattr__(self, name):
-        return getattr(self._job, name)

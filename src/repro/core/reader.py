@@ -64,22 +64,9 @@ class PFSReader:
         #: raw bytes delivered after decompression
         self.bytes_delivered = 0
 
-    # -- planner passthroughs (legacy surface) -----------------------------
-    @property
-    def granularity(self) -> Optional[int]:
-        return self.planner.granularity
-
-    @property
-    def request_overhead(self) -> float:
-        return self.planner.request_overhead
-
     @property
     def max_inflight(self) -> int:
         return self.planner.max_inflight
-
-    @property
-    def cache(self) -> Optional[ReadAheadCache]:
-        return self.planner.cache
 
     def _fetch(self, path: str):
         """The piece-fetch thunk handed to the planner."""

@@ -31,7 +31,7 @@ COMPRESS_BYTES_PER_SEC = 80 * MB
 #: R ``read.table``: sequential text→typed-columns parsing, bytes of text
 #: per second. R is famously slow here (~10-20 MB/s without colClasses);
 #: 12 MB/s also reproduces the paper's Fig. 5 solution ordering and its
-#: 284.63x naive-vs-SciDP extreme (we measure ~269x at this rate).
+#: 284.63x naive-vs-SciDP extreme.
 TEXT_PARSE_BYTES_PER_SEC = 12 * MB
 
 #: Binary ndarray → R data.frame conversion (SciDP path): a typed copy.

@@ -92,10 +92,6 @@ class VariableIndex:
         return bool(self.chunks) and all(
             c.stats is not None for c in self.chunks)
 
-    def chunk_grid(self) -> tuple[int, ...]:
-        return tuple(
-            -(-s // c) for s, c in zip(self.shape, self.chunk_shape))
-
     def chunk_slices(self, index: tuple[int, ...]) -> tuple[slice, ...]:
         return tuple(
             slice(i * c, min((i + 1) * c, s))

@@ -4,8 +4,10 @@ This is the data path the paper's Naive / Vanilla Hadoop / PortHadoop
 baselines are forced through (§II-B, §IV-B): every array element becomes a
 CSV row ``variable,i0,i1,...,value``, inflating float32 data by roughly an
 order of magnitude (the paper measured ~33× against the *compressed*
-netCDF size). ``read_table`` mirrors R's ``read.table`` — the sequential
-text-to-binary conversion that dominates Fig. 7 for the baselines.
+netCDF size). :func:`parse_csv_fast` reads such a dump back into dense
+arrays; the cost model charges it at R ``read.table`` rates, the
+sequential text-to-binary conversion that dominates Fig. 7 for the
+baselines.
 """
 
 from __future__ import annotations
@@ -13,60 +15,17 @@ from __future__ import annotations
 import io
 import itertools
 from functools import lru_cache
-from typing import BinaryIO, Iterator
+from typing import BinaryIO
 
 import numpy as np
 
 from repro.formats.container import ContainerReader, FormatError
 
 __all__ = [
-    "convert_to_csv",
     "convert_to_csv_fast",
-    "csv_rows",
     "encode_csv_block",
-    "estimate_csv_size",
     "parse_csv_fast",
-    "read_table",
 ]
-
-
-def convert_to_csv(reader: ContainerReader, out: BinaryIO,
-                   variables: list[str] | None = None) -> int:
-    """Convert container variables to CSV rows; returns bytes written.
-
-    One row per element: ``name,idx0,idx1,...,value``. Values are printed
-    with full float32 round-trip precision (9 significant digits), like
-    the generic dump tools the paper's baselines rely on.
-    """
-    total = 0
-    paths = variables if variables is not None else reader.variable_paths()
-    for path in paths:
-        var = reader.variable(path)
-        data = reader.get_vara(path)
-        name = var.name
-        flat = data.reshape(-1)
-        for flat_idx, value in enumerate(flat):
-            idx = np.unravel_index(flat_idx, data.shape) if data.shape else ()
-            row = (f"{name},"
-                   + ",".join(str(int(i)) for i in idx)
-                   + f",{value:.9g}\n").encode()
-            out.write(row)
-            total += len(row)
-    return total
-
-
-def estimate_csv_size(raw_nbytes: int, itemsize: int = 4,
-                      rank: int = 4) -> int:
-    """Predict the CSV size for a raw binary payload without converting.
-
-    Per element: name (~3 chars) + rank index fields (~4 chars each incl.
-    comma) + value (~13 chars incl. sign/point/exponent) + newline. For
-    float32 4-D data this lands near 33 bytes/element ≈ 8.2× the raw
-    binary and ≈ 33× the paper's ~4× compressed form — matching §IV-B.
-    """
-    elements = raw_nbytes // itemsize
-    per_element = 3 + 1 + 4 * rank + 13 + 1
-    return elements * per_element
 
 
 @lru_cache(maxsize=8)
@@ -112,10 +71,10 @@ def encode_csv_block(data: np.ndarray, var_id: int = 0) -> bytes:
 
 def convert_to_csv_fast(reader: ContainerReader, out: BinaryIO,
                         variables: list[str] | None = None) -> int:
-    """Vectorised CSV dump used by the experiment pipeline.
+    """Dump container variables as CSV rows; returns bytes written.
 
-    Same information as :func:`convert_to_csv` but with numeric variable
-    ids (a ``#vars:`` header maps them back) so both dumping and parsing
+    One :func:`encode_csv_block` per variable, with numeric variable ids
+    (a ``#vars:`` header maps them back) so both dumping and parsing
     stay off the per-element Python path — needed to materialise real
     text baselines' inputs at bench scale in reasonable wall-clock time.
     """
@@ -182,42 +141,5 @@ def parse_csv_fast(data: bytes) -> dict[str, np.ndarray]:
         else:  # 0-D variable: no index columns, the last row wins
             arr = values[rows][-1].reshape(())
         name = names[vid] if vid < len(names) else f"var{vid}"
-        out[name] = arr
-    return out
-
-
-def csv_rows(fileobj: BinaryIO) -> Iterator[list[str]]:
-    """Stream CSV rows as string fields."""
-    text = io.TextIOWrapper(fileobj, encoding="utf-8", newline="")
-    for line in text:
-        line = line.strip()
-        if line:
-            yield line.split(",")
-    text.detach()
-
-
-def read_table(fileobj: BinaryIO) -> dict[str, np.ndarray]:
-    """Parse a CSV dump back into dense arrays, R ``read.table`` style.
-
-    Sequential and allocation-heavy by design — this models the baselines'
-    dominant Convert cost. Returns ``{variable name: ndarray}``; shapes are
-    inferred from the maximum index seen per axis.
-    """
-    raw: dict[str, list[tuple[tuple[int, ...], float]]] = {}
-    for fields in csv_rows(fileobj):
-        name = fields[0]
-        idx = tuple(int(f) for f in fields[1:-1])
-        value = float(fields[-1])
-        raw.setdefault(name, []).append((idx, value))
-    out: dict[str, np.ndarray] = {}
-    for name, entries in raw.items():
-        if not entries:
-            continue
-        rank = len(entries[0][0])
-        shape = tuple(
-            max(idx[axis] for idx, _ in entries) + 1 for axis in range(rank))
-        arr = np.zeros(shape, dtype=np.float32)
-        for idx, value in entries:
-            arr[idx] = value
         out[name] = arr
     return out

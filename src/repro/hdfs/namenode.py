@@ -150,9 +150,6 @@ class NameNode:
                     out.append(p)
         return sorted(out)
 
-    def glob_dir(self, path: str) -> list[FileEntry]:
-        return [self._files[p] for p in self.listdir(path)]
-
     # -- blocks --------------------------------------------------------------
     def choose_targets(self, writer: Optional[str],
                        replication: int) -> list[str]:

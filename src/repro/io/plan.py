@@ -61,20 +61,6 @@ class ReadPlan:
     pieces: tuple[tuple[int, int], ...]
     granularity: Optional[int] = None
 
-    @property
-    def n_requests(self) -> int:
-        return len(self.pieces)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(n for _pos, n in self.pieces)
-
-    def __iter__(self):
-        return iter(self.pieces)
-
-    def __len__(self) -> int:
-        return len(self.pieces)
-
 
 @dataclass(frozen=True)
 class ScanPlan:
@@ -128,15 +114,8 @@ class WritePlan:
     def n_requests(self) -> int:
         return len(self.extents)
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(ext.length for ext in self.extents)
-
     def __iter__(self):
         return iter(self.extents)
-
-    def __len__(self) -> int:
-        return len(self.extents)
 
 
 def element_bytes(dtype: Any, count: Sequence[int], *,

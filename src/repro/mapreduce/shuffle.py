@@ -10,7 +10,6 @@ tests under ``tests/mapreduce/``.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import operator
 from typing import Any, Iterable, Iterator, Sequence
@@ -25,7 +24,6 @@ __all__ = [
     "hash_partition",
     "hash_partition_many",
     "merge_sorted_runs",
-    "merge_sorted_streams",
     "partition_run",
     "sort_run",
 ]
@@ -194,15 +192,6 @@ def merge_sorted_runs(
     engines' reduce sides call this; their runs are materialised lists.
     """
     return sort_run(itertools.chain.from_iterable(runs))
-
-
-def merge_sorted_streams(
-        runs: Sequence[Iterable[tuple[Any, Any]]]
-) -> Iterator[tuple[Any, Any]]:
-    """Lazy k-way merge of key-sorted runs, one record per run in
-    memory; same order as :func:`merge_sorted_runs`. For genuinely lazy
-    inputs only — no engine path has such runs."""
-    return heapq.merge(*runs, key=_record_order)
 
 
 def group_sorted(

@@ -174,10 +174,6 @@ class MapOutputFeed:
         self.outputs: list[MapOutput] = []
         self._arrival = Event(env)
 
-    @property
-    def complete(self) -> bool:
-        return len(self.outputs) >= self.expected
-
     def commit(self, output: MapOutput) -> None:
         """Publish one finished map's output and wake the waiters."""
         self.outputs.append(output)

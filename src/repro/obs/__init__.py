@@ -36,7 +36,6 @@ from repro.obs.history import JobHistory, TaskAttempt
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     attach_metrics,
     metrics_of,
@@ -57,7 +56,6 @@ __all__ = [
     "Counter",
     "CriticalPath",
     "Gauge",
-    "Histogram",
     "JobHistory",
     "LogHistogram",
     "MetricsRegistry",

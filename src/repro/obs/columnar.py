@@ -23,8 +23,6 @@ repro.obs-internal and must not be imported by instrumented packages
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.sim.columns import FloatColumn
@@ -47,29 +45,6 @@ class Table:
 
     def __len__(self) -> int:
         return len(self.column) // self.width
-
-    @property
-    def nbytes(self) -> int:
-        return self.column.nbytes
-
-    def append_row(self, *row: float) -> None:
-        self.column.extend(row)
-
-    def ingest(self, *cols: np.ndarray) -> None:
-        """Bulk-append rows given as per-column vectors (vectorised:
-        one interleave + one frozen chunk, no per-row Python work)."""
-        if len(cols) != self.width:
-            raise ValueError(
-                f"expected {self.width} columns, got {len(cols)}")
-        n = len(cols[0])
-        if any(len(c) != n for c in cols):
-            raise ValueError("column lengths differ")
-        if n == 0:
-            return
-        rows = np.empty((n, self.width), dtype=np.float64)
-        for j, col in enumerate(cols):
-            rows[:, j] = col
-        self.column.extend_array(rows.reshape(-1))
 
     def rows(self) -> np.ndarray:
         """Materialise as one ``(n, width)`` array."""
@@ -119,50 +94,3 @@ class ColumnarLog:
     def tracks(self) -> set[str]:
         """Every track name ever interned (spans and instants)."""
         return {track for _name, _cat, track in self.key_list}
-
-    @property
-    def nbytes(self) -> int:
-        return self.spans.nbytes + self.instants.nbytes + \
-            self.counters.nbytes
-
-    @property
-    def n_events(self) -> int:
-        return len(self.spans) + len(self.instants) + len(self.counters)
-
-    # -- recording (scalar paths live in the tracer for speed) -----------
-    def add_span(self, start: float, end: float, name: str, cat: str = "",
-                 track: str = "main", args: Optional[dict] = None) -> None:
-        kid = self.key_id(name, cat, track)
-        if args:
-            self.span_args[len(self.spans)] = args
-        self.spans.append_row(start, end, kid)
-
-    def add_instant(self, ts: float, name: str, cat: str = "",
-                    track: str = "main",
-                    args: Optional[dict] = None) -> None:
-        kid = self.key_id(name, cat, track)
-        if args:
-            self.instant_args[len(self.instants)] = args
-        self.instants.append_row(ts, kid)
-
-    def add_counter(self, ts: float, name: str, value: float,
-                    cat: str = "util") -> None:
-        self.counters.append_row(ts, value,
-                                 self.counter_key_id(name, cat))
-
-    # -- bulk ingest (replay / external event streams) -------------------
-    def ingest_spans(self, starts: np.ndarray, ends: np.ndarray,
-                     name: str, cat: str = "", track: str = "main") -> None:
-        """Append many same-key spans from per-column vectors."""
-        kid = self.key_id(name, cat, track)
-        kids = np.full(len(starts), float(kid))
-        self.spans.ingest(np.asarray(starts, dtype=np.float64),
-                          np.asarray(ends, dtype=np.float64), kids)
-
-    def ingest_counters(self, ts: np.ndarray, values: np.ndarray,
-                        name: str, cat: str = "util") -> None:
-        """Append many samples of one counter series from vectors."""
-        kid = self.counter_key_id(name, cat)
-        kids = np.full(len(ts), float(kid))
-        self.counters.ingest(np.asarray(ts, dtype=np.float64),
-                             np.asarray(values, dtype=np.float64), kids)

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, histograms, device utilisation.
+"""Metrics registry: counters, gauges, latency histograms, device utilisation.
 
 Gauges wrap :class:`repro.sim.stats.Monitor`, so their time-weighted
 average is the correct mean for utilisation-style series. Device
@@ -17,7 +17,6 @@ per membership change.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Iterable, Optional
 
 from repro.obs.hist import LogHistogram
@@ -26,7 +25,6 @@ from repro.sim.stats import Monitor
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "LogHistogram",
     "MetricsRegistry",
     "attach_metrics",
@@ -69,55 +67,6 @@ class Gauge:
         return self.monitor.time_average(until)
 
 
-class Histogram:
-    """Value distribution with exact quantiles (series stay small here)."""
-
-    __slots__ = ("name", "values")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.values: list[float] = []
-
-    def observe(self, value: float) -> None:
-        self.values.append(float(value))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    @property
-    def total(self) -> float:
-        return sum(self.values)
-
-    @property
-    def mean(self) -> float:
-        if not self.values:
-            raise ValueError(f"histogram {self.name!r} has no samples")
-        return self.total / len(self.values)
-
-    def quantile(self, q: float) -> float:
-        """Nearest-rank quantile, q in [0, 1]."""
-        if not self.values:
-            raise ValueError(f"histogram {self.name!r} has no samples")
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile {q} outside [0, 1]")
-        ordered = sorted(self.values)
-        rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-        return ordered[rank]
-
-    def summary(self) -> dict[str, float]:
-        return {
-            "count": float(self.count),
-            "mean": self.mean,
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "max": self.quantile(1.0),
-        }
-
-
 class MetricsRegistry:
     """Named metrics plus the set of watched bandwidth devices."""
 
@@ -125,7 +74,6 @@ class MetricsRegistry:
         self.env = env
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
         self._latencies: dict[str, LogHistogram] = {}
         #: watched devices: name -> (pipe, in-flight gauge)
         self._devices: dict[str, tuple] = {}
@@ -144,17 +92,11 @@ class MetricsRegistry:
             self._gauges[name] = Gauge(name, self.env)
         return self._gauges[name]
 
-    def histogram(self, name: str) -> Histogram:
-        if name not in self._histograms:
-            self._histograms[name] = Histogram(name)
-        return self._histograms[name]
-
     def latency(self, name: str) -> LogHistogram:
         """A streaming :class:`~repro.obs.hist.LogHistogram` for
         high-volume duration series (task durations, fetch latencies):
         fixed memory, p50/p90/p99 with bounded relative error, mergeable
-        across registries. Use :meth:`histogram` only for small series
-        that need exact quantiles."""
+        across registries."""
         if name not in self._latencies:
             self._latencies[name] = LogHistogram(name)
         return self._latencies[name]
@@ -382,9 +324,6 @@ class MetricsRegistry:
                     "time_average": g.monitor.time_average()}
                 for n, g in sorted(self._gauges.items()) if len(g.monitor)
             },
-            "histograms": {n: h.summary()
-                           for n, h in sorted(self._histograms.items())
-                           if len(h)},
             "latencies": {n: h.summary()
                           for n, h in sorted(self._latencies.items())
                           if len(h)},

@@ -73,14 +73,6 @@ class OST:
                 f"({offset}+{length} > {len(obj)})")
         return bytes(obj[offset:offset + length])
 
-    def read(self, object_id: int, offset: int, length: int):
-        """Timed read: charges the disk, returns the bytes. DES process."""
-        if self.failed:
-            raise PFSError(f"OST{self.index} has failed")
-        data = self.read_sync(object_id, offset, length)
-        yield self.disk.read(length)
-        return data
-
     def write(self, object_id: int, offset: int, data: bytes):
         """Timed write. DES process."""
         if self.failed:

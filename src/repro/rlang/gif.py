@@ -1,11 +1,11 @@
-"""Pure-Python animated GIF (GIF89a) encoder and decoder.
+"""Pure-Python animated GIF (GIF89a) encoder.
 
 The paper's visual outputs "are usually animations which consist of a
 series of images generated along a specific dimension" (§II-A). This
 module produces real, spec-conformant animated GIFs from indexed frames
 (the colormap ramp is the palette, so no quantisation is needed), with a
-full LZW coder; the decoder exists so tests can prove frame-exact round
-trips.
+full LZW coder. The decoder that proves frame-exact round trips is a
+test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-__all__ = ["decode_gif", "encode_gif"]
+__all__ = ["encode_gif"]
 
 _HEADER = b"GIF89a"
 _MAX_CODE = 4096
@@ -92,64 +92,6 @@ def _lzw_encode(data: bytes, min_code_size: int) -> bytes:
     return writer.finish()
 
 
-class _BitReader:
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-        self._current = 0
-        self._nbits = 0
-
-    def read(self, width: int) -> int:
-        while self._nbits < width:
-            if self._pos >= len(self._data):
-                raise ValueError("LZW stream truncated")
-            self._current |= self._data[self._pos] << self._nbits
-            self._pos += 1
-            self._nbits += 8
-        value = self._current & ((1 << width) - 1)
-        self._current >>= width
-        self._nbits -= width
-        return value
-
-
-def _lzw_decode(data: bytes, min_code_size: int) -> bytes:
-    clear = 1 << min_code_size
-    eoi = clear + 1
-    reader = _BitReader(data)
-
-    def reset_table():
-        return ([bytes([i]) for i in range(clear)] + [b"", b""],
-                min_code_size + 1)
-
-    table, width = reset_table()
-    out = bytearray()
-    prev: bytes | None = None
-    while True:
-        code = reader.read(width)
-        if code == clear:
-            table, width = reset_table()
-            prev = None
-            continue
-        if code == eoi:
-            return bytes(out)
-        if prev is None:
-            entry = table[code]
-        elif code < len(table):
-            entry = table[code]
-            table.append(prev + entry[:1])
-        elif code == len(table):
-            entry = prev + prev[:1]
-            table.append(entry)
-        else:
-            raise ValueError(f"bad LZW code {code}")
-        out.extend(entry)
-        # The decoder constructs entries one step behind the encoder, so
-        # it must widen one entry early to stay code-size synchronized.
-        if len(table) == (1 << width) - 1 and width < 12:
-            width += 1
-        prev = entry
-
-
 # --------------------------------------------------------------------------
 # GIF container
 # --------------------------------------------------------------------------
@@ -199,54 +141,3 @@ def encode_gif(frames: list[np.ndarray], palette: np.ndarray,
                            min_code_size)
     out += b"\x3b"
     return bytes(out)
-
-
-def decode_gif(data: bytes) -> tuple[list[np.ndarray], np.ndarray]:
-    """Decode GIFs produced by :func:`encode_gif`.
-
-    Returns (frames, palette). Supports the features the encoder emits:
-    global color table, full-canvas frames, no transparency/interlace.
-    """
-    if data[:6] not in (b"GIF89a", b"GIF87a"):
-        raise ValueError("not a GIF")
-    width, height, flags, _bg, _aspect = struct.unpack(
-        "<HHBBB", data[6:13])
-    pos = 13
-    palette = np.zeros((0, 3), dtype=np.uint8)
-    if flags & 0x80:
-        size = 2 << (flags & 0x07)
-        palette = np.frombuffer(
-            data[pos:pos + 3 * size], dtype=np.uint8).reshape(size, 3)
-        pos += 3 * size
-
-    frames: list[np.ndarray] = []
-    while pos < len(data):
-        marker = data[pos]
-        pos += 1
-        if marker == 0x3B:  # trailer
-            break
-        if marker == 0x21:  # extension: skip sub-blocks
-            pos += 1  # label
-            while data[pos] != 0:
-                pos += 1 + data[pos]
-            pos += 1
-        elif marker == 0x2C:  # image descriptor
-            left, top, fw, fh, local_flags = struct.unpack(
-                "<HHHHB", data[pos:pos + 9])
-            pos += 9
-            if local_flags & 0x80:
-                raise ValueError("local color tables not supported")
-            min_code_size = data[pos]
-            pos += 1
-            lzw = bytearray()
-            while data[pos] != 0:
-                block_len = data[pos]
-                lzw += data[pos + 1:pos + 1 + block_len]
-                pos += 1 + block_len
-            pos += 1
-            pixels = _lzw_decode(bytes(lzw), min_code_size)
-            frames.append(np.frombuffer(
-                pixels, dtype=np.uint8).reshape(fh, fw))
-        else:
-            raise ValueError(f"unexpected GIF block {marker:#x}")
-    return frames, palette

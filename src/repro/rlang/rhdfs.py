@@ -27,17 +27,6 @@ class RHDFS:
         self.env = self.client.env
         self.flusher = flusher
 
-    @classmethod
-    def open(cls, registry, url: str, node, flusher=None) -> "RHDFS":
-        """Bind to whatever backend a URL's scheme names.
-
-        ``registry`` is a :class:`repro.io.registry.StorageRegistry`;
-        ``url`` can be scheme-only (``"hdfs://"``) — rhdfs calls take
-        backend-local paths as usual.
-        """
-        backend, _path = registry.resolve(url)
-        return cls(backend, node, flusher=flusher)
-
     def hdfs_put(self, path: str, data: bytes):
         """Write ``data`` to ``path`` (timed). DES process.
 

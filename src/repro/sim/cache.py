@@ -121,9 +121,6 @@ class ReadAheadCache:
         self._inflight: dict = {}  # key -> _Reservation
         self._used = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     @property
     def used_bytes(self) -> int:
         return self._used

@@ -81,10 +81,6 @@ class FanoutWindow:
         self._failure: Optional[BaseException] = None
         self._stir: Optional[Event] = None  # wakes a blocked drain()
 
-    @property
-    def submitted(self) -> int:
-        return len(self._results)
-
     def submit(self, factory: Callable) -> int:
         """Queue one process factory; returns its result index."""
         if self._closed:

@@ -159,9 +159,6 @@ class Store:
         self._getters: deque[Event] = deque()
         self._putters: deque[tuple[Event, Any]] = deque()
 
-    def __len__(self) -> int:
-        return len(self._items)
-
     def put(self, item: Any) -> Event:
         ev = Event(self.env)
         self._putters.append((ev, item))
@@ -404,10 +401,6 @@ class SharedBandwidth:
         for xfer in sorted(finished, key=lambda x: x.seq):
             xfer.event.succeed(priority=URGENT)
         self._reschedule()
-
-    def time_for(self, nbytes: float) -> float:
-        """Uncontended transfer time — calibration/diagnostics helper."""
-        return nbytes / self.capacity
 
     def utilization(self, since: float = 0.0) -> float:
         """Fraction of [since, now] this pipe had transfers in flight.

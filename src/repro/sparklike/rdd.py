@@ -69,10 +69,6 @@ class RDD:
         raise NotImplementedError  # pragma: no cover
 
     # -- caching -----------------------------------------------------------
-    @property
-    def _cached(self) -> bool:
-        return self.storage_level is not None
-
     def cache(self) -> "RDD":
         """Persist computed partitions in executor memory: later actions
         reuse them instead of recomputing, paying only a transfer when

@@ -77,6 +77,22 @@ def test_quick_simscale_prints_the_recorded_order(capsys):
     assert f"sim clock {golden['sim_seconds']:.3f}s" in experiment["note"]
 
 
+@pytest.mark.parametrize("name", ["sparklike", "sql"])
+def test_quick_engine_benches_agree_and_beat_the_plain_config(name, capsys):
+    """The engine benches' row builders: every configuration returns the
+    same result, and each one beats the plain first row in simulated
+    seconds."""
+    import json
+    import re
+
+    assert main([name, "--quick", "--json"]) == 0
+    (experiment,) = json.loads(capsys.readouterr().out)["experiments"]
+    assert re.search(r"identical results[^;]*: True", experiment["note"])
+    plain, *tuned = experiment["rows"]
+    assert plain[-1] == 1.0
+    assert tuned and all(row[1] < plain[1] for row in tuned)
+
+
 def test_every_experiment_has_quick_kwargs():
     for name, (_runner, _full, quick) in EXPERIMENTS.items():
         assert isinstance(quick, dict), name

@@ -18,11 +18,7 @@ from repro.formats.scinc.capi import (
     nc_inq_varid,
     nc_open,
 )
-from repro.formats.text import (
-    convert_to_csv,
-    estimate_csv_size,
-    read_table,
-)
+from repro.formats.text import convert_to_csv_fast, parse_csv_fast
 
 
 def sample_file():
@@ -105,13 +101,12 @@ def test_register_format_duplicate_rejected():
 
 
 # ------------------------------------------------------------------- text
-def test_convert_to_csv_and_read_table_roundtrip():
+def test_convert_to_csv_fast_and_parse_roundtrip():
     buf, data = sample_file()
     reader = scinc.Reader(buf)
     out = io.BytesIO()
-    convert_to_csv(reader, out, variables=["/qr"])
-    out.seek(0)
-    tables = read_table(out)
+    convert_to_csv_fast(reader, out, variables=["/qr"])
+    tables = parse_csv_fast(out.getvalue())
     assert set(tables) == {"qr"}
     np.testing.assert_allclose(tables["qr"], data, rtol=1e-6)
 
@@ -126,21 +121,14 @@ def test_csv_conversion_inflates_size():
     scinc.write(buf, ds)
     reader = scinc.Reader(buf)
     out = io.BytesIO()
-    nbytes = convert_to_csv(reader, out, variables=["/qr"])
+    nbytes = convert_to_csv_fast(reader, out, variables=["/qr"])
     assert nbytes > 4 * data.nbytes  # text ≫ raw binary
-
-
-def test_estimate_csv_size_magnitude():
-    # 4-byte elements as 4-D indexed text rows: ~33 bytes each.
-    est = estimate_csv_size(raw_nbytes=4_000_000, itemsize=4, rank=4)
-    assert 7 <= est / 4_000_000 <= 10
 
 
 def test_convert_all_variables_by_default():
     buf, _ = sample_file()
     reader = scinc.Reader(buf)
     out = io.BytesIO()
-    convert_to_csv(reader, out)
-    out.seek(0)
-    tables = read_table(out)
+    convert_to_csv_fast(reader, out)
+    tables = parse_csv_fast(out.getvalue())
     assert set(tables) == {"qr", "qc"}

@@ -68,7 +68,7 @@ def test_metadata_surface_uniform(combined_world):
     """stat/listdir/exists/delete behave across backends."""
     env, _cluster, pfs, hdfs, nodes = combined_world
     hdfs.store_file_sync("/h/a", payload(40))
-    pfs.store_file("/p/a", payload(40))
+    pfs.store_file_sync("/p/a", payload(40))
     clients, _connector = all_clients(pfs, hdfs, nodes[0])
 
     for name, client in clients.items():
@@ -79,11 +79,12 @@ def test_metadata_surface_uniform(combined_world):
         listing = run(env, client.listdir(path.rsplit("/", 1)[0]))
         assert path in listing, name
 
-    # delete through each namespace owner (connector shares the PFS one)
-    run(env, clients["hdfs"].delete("/h/a"))
-    assert run(env, clients["hdfs"].exists("/h/a")) is False
-    run(env, clients["pfs"].delete("/p/a"))
-    assert run(env, clients["pfs"].exists("/p/a")) is False
+    # delete through every client (the connector shares the PFS namespace)
+    pfs.store_file_sync("/p/b", payload(8))
+    for name, path in (("hdfs", "/h/a"), ("pfs", "/p/a"),
+                       ("connector", "/p/b")):
+        run(env, clients[name].delete(path))
+        assert run(env, clients[name].exists(path)) is False, name
 
 
 def test_read_extents_uniform(combined_world):

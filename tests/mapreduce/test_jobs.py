@@ -73,8 +73,8 @@ def test_wordcount_end_to_end(world):
 def test_wordcount_multiple_files(world):
     env, cluster, hdfs, nodes = world
     hdfs.store_file_sync("/in/a.txt", b"alpha beta\n" * 10)
-    hdfs.store_file_sync("/in/b.txt", b"beta gamma\n" * 10)
-    job = make_job()
+    hdfs.store_file_sync("/more/b.txt", b"beta gamma\n" * 10)
+    job = make_job().add_input_path("/more")
     runner = JobRunner(env, nodes, hdfs, cluster.network, job)
     result = run(env, runner.run())
     got = {k: v for recs in result.outputs.values() for k, v in recs}

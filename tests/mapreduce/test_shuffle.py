@@ -164,23 +164,6 @@ def test_unorderable_keys_of_one_type_raise_type_error():
         merge_sorted_runs([records[:1], records[1:]])
 
 
-def test_merge_sorted_streams_is_lazy():
-    from repro.mapreduce.shuffle import merge_sorted_streams
-
-    pulled = []
-
-    def probe(run):
-        for kv in run:
-            pulled.append(kv)
-            yield kv
-
-    stream = merge_sorted_streams([probe([("a", 1), ("z", 2)]),
-                                   probe([("b", 3)])])
-    next(stream)
-    # Only the heads (plus one successor) were pulled, not everything.
-    assert len(pulled) < 3
-
-
 @given(st.lists(st.tuples(
     st.one_of(st.integers(), st.text(max_size=8)),
     st.integers())))

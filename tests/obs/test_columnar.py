@@ -66,17 +66,15 @@ def test_float_column_extend_array_is_one_chunk():
     assert col.nbytes >= 101 * 8
 
 
-def test_table_rows_and_ingest():
+def test_table_rows_span_chunks():
+    """Rows appended the tracer's way (three floats onto the column)
+    come back whole across frozen chunks of ``chunk_rows`` rows."""
     table = Table(width=3, chunk_rows=4)
-    table.append_row(1.0, 2.0, 3.0)
-    table.ingest(np.array([4.0, 7.0]), np.array([5.0, 8.0]),
-                 np.array([6.0, 9.0]))
-    assert len(table) == 3
+    for i in range(10):
+        table.column.extend((3.0 * i, 3.0 * i + 1, 3.0 * i + 2))
+    assert len(table) == 10
     np.testing.assert_array_equal(
-        table.rows(), [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    with pytest.raises(ValueError):
-        table.ingest(np.array([1.0]), np.array([1.0, 2.0]),
-                     np.array([1.0]))
+        table.rows(), np.arange(30.0).reshape(10, 3))
 
 
 def test_columnar_log_interns_keys_once():

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.obs.metrics import (
-    Histogram,
     MetricsRegistry,
     attach_metrics,
     metrics_of,
@@ -38,22 +37,6 @@ def test_gauge_time_average():
     env.run()
     assert g.last == 10.0
     assert g.time_average() == pytest.approx(5.0)
-
-
-def test_histogram_quantiles():
-    h = Histogram("lat")
-    for v in (1.0, 2.0, 3.0, 4.0):
-        h.observe(v)
-    assert h.count == 4
-    assert h.mean == 2.5
-    assert h.quantile(0.0) == 1.0
-    assert h.quantile(0.5) == 2.0
-    assert h.quantile(1.0) == 4.0
-    assert h.summary()["p95"] == 4.0
-    with pytest.raises(ValueError):
-        h.quantile(1.5)
-    with pytest.raises(ValueError):
-        Histogram("empty").mean
 
 
 def test_watch_pipe_samples_in_flight_on_membership_changes():
@@ -138,9 +121,7 @@ def test_as_dict_snapshot():
     reg = attach_metrics(env)
     reg.counter("n").inc(2)
     reg.gauge("g").set(1.0)
-    reg.histogram("h").observe(3.0)
     snap = reg.as_dict()
     assert snap["counters"] == {"n": 2.0}
     assert snap["gauges"]["g"]["last"] == 1.0
-    assert snap["histograms"]["h"]["count"] == 1.0
     assert snap["devices"] == []

@@ -62,6 +62,18 @@ def test_read_at_returns_correct_bytes():
     assert got == data[1000:1500]
 
 
+def test_close_drops_the_cached_inode():
+    _env, pfs, clients = make_world()
+    pfs.store_file("/f", payload(100))
+    f = MPIFile.open(clients, "/f")
+    assert f.size == 100
+    pfs.unlink("/f")
+    pfs.store_file("/f", payload(300))
+    assert f.size == 100          # the handle still holds the old inode
+    f.close()
+    assert f.size == 300          # re-resolved from the metadata server
+
+
 def test_open_missing_file_raises():
     _env, _pfs, clients = make_world()
     with pytest.raises(PFSError):

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rlang.animation import animate_fields, colormap_palette
-from repro.rlang.gif import decode_gif, encode_gif
+from repro.rlang.gif import encode_gif
+
+from tests.oracles import decode_gif
 
 
 def palette():

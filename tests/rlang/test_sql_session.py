@@ -25,6 +25,11 @@ from repro.rlang import SQLError, SQLSession, data_frame
 from repro.workloads.nuwrf import NUWRFConfig, synthesize_timestep
 
 from tests.golden import load_golden
+from tests.rlang.test_relational_kernels import (
+    frame_rows,
+    multiset,
+    sqlite_rows,
+)
 
 SHAPE = (4, 16, 16)
 
@@ -198,6 +203,35 @@ def test_dimension_predicate_prunes_exactly_without_stats():
     # QV has 4 z-chunks; only the altitude=2 slab survives
     assert info.chunks_read == 1
     assert info.chunks_pruned == SHAPE[0] - 1
+
+
+@pytest.mark.parametrize("where, pruned", [
+    ("QR > 0.6 AND QR <= 1.0", 1),        # overlapping: z=3 tops out below
+    ("QR > 0.75 AND QR < 0.25", 4),       # empty, though each half is not
+    ("QR >= 0.5 AND QR < 0.5", 4),        # touching half-open: empty
+    ("latitude > 5 AND latitude < 3", 4),  # empty on a dimension
+    ("QR > 0.1 AND QR < 0.9 AND QR >= 0.8", 2),
+    ("altitude >= 1 AND altitude < 3 AND QR > 0.5", 2),
+])
+def test_range_conjuncts_match_sqlite_and_pushdown_off(where, pruned):
+    """Conjuncts on one column intersect before zone-map pruning; the
+    frames equal sqlite3's and pushdown-off's, and the intersection —
+    not either conjunct alone — decides which chunks are skipped (zone
+    maps per z-level: QR spans [0, 1.125], [0, 0.9375], [0, 0.75],
+    [0, 0.53125])."""
+    config = small_config()
+    sql = f"SELECT altitude, longitude, latitude, QR FROM t0 WHERE {where}"
+    plain = run_session(False, config, [sql])
+    pushed = run_session(True, config, [sql])
+    out = pushed["results"][0]
+    assert out == plain["results"][0]
+    qr = synthesize_timestep(config, 0).variables["QR"].data
+    z, y, x = np.indices(SHAPE).reshape(3, -1)
+    table = data_frame(altitude=z, longitude=y, latitude=x,
+                       QR=qr.reshape(-1))
+    assert multiset(frame_rows(out)) == \
+        multiset(sqlite_rows(sql, {"t0": table}))
+    assert pushed["scans"][0].chunks_pruned == pruned
 
 
 def test_scinc_join_with_registered_frame():

@@ -139,11 +139,6 @@ def test_explorer_without_io_charges_is_instant():
 
 
 # ----------------------------------------------------------------- costs
-def test_estimate_csv_size_zero():
-    from repro.formats.text import estimate_csv_size
-    assert estimate_csv_size(0) == 0
-
-
 def test_parse_csv_fast_empty_and_headerless():
     from repro.formats.text import parse_csv_fast
     assert parse_csv_fast(b"") == {}

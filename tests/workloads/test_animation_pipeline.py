@@ -5,9 +5,10 @@ import pytest
 
 from repro import costs
 from repro.mapreduce import JobConf
-from repro.rlang.gif import decode_gif
 from repro.workloads.pipeline import animation_mapper, animation_reducer
 from repro.workloads.solutions import build_world
+
+from tests.oracles import decode_gif
 
 
 @pytest.fixture(autouse=True)
