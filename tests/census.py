@@ -1,7 +1,7 @@
 """Reachability census: which functions under ``src/repro`` a run reaches.
 
-    python tests/census.py                    # both passes, then the report
-    python tests/census.py --list tests-only  # ... and name each function
+    python tests/census.py                          # both passes, the report
+    python tests/census.py --list never tests-only  # ... and name each one
 
 Every Python process of a pass, subprocesses and campaign pool workers
 included, records the code objects it calls: a generated
@@ -90,47 +90,42 @@ def _commands(tree: Path) -> dict[str, list[list[str]]]:
     return {"tier1": [[py, "-m", "pytest", "-x", "-q"]], "paper": paper}
 
 
-def run_passes(records: Path) -> None:
-    """Run both passes in a copy of the tree, recording into ``records``."""
-    with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp) / "tree"
-        shutil.copytree(REPO, tree, ignore=shutil.ignore_patterns(
-            ".git", "__pycache__", ".hypothesis", ".pytest_cache",
-            "campaigns"))
-        site = Path(tmp) / "site"
-        site.mkdir()
-        for name, commands in _commands(tree).items():
-            out = records / name
-            out.mkdir(parents=True)
-            (site / "sitecustomize.py").write_text(
-                "import importlib.util as u\n"
-                f"s = u.spec_from_file_location('census', {__file__!r})\n"
-                "m = u.module_from_spec(s)\ns.loader.exec_module(m)\n"
-                f"m.record({str(out)!r})\n")
-            path = os.pathsep.join([str(site), str(tree / "src")])
-            env = dict(os.environ, PYTHONPATH=path)
-            for cmd in commands:
-                print(f"census[{name}]: {' '.join(cmd[1:])}", flush=True)
-                code = subprocess.run(cmd, cwd=tree, env=env,
-                                      stdout=subprocess.DEVNULL).returncode
-                if code and name == "tier1":
-                    raise SystemExit(f"census: tier-1 failed (exit {code})")
-                if code:
-                    # a host-time gate (bench_simscale's events/s floor)
-                    # can miss under the recorder; calls made are kept
-                    print(f"census[{name}]: exit {code}, calls made are "
-                          "recorded", file=sys.stderr, flush=True)
-
-
-def reached(out: Path) -> set[tuple[str, int, str]]:
-    """``(path under src/repro, first line, name)`` of every call."""
-    calls = set()
-    for dump in out.glob("*.txt"):
-        for line in dump.read_text().splitlines():
-            path, lineno, name = line.rsplit(":", 2)
-            _, sep, rel = path.rpartition("/src/repro/")
-            if sep:
-                calls.add((rel, int(lineno), name))
+def run_passes(tmp: Path) -> dict[str, set[tuple[str, int, str]]]:
+    """Run both passes in a copy of the tree made under ``tmp``; return
+    ``(path under src/repro, first line, name)`` of every call, by pass."""
+    tree, site = tmp / "tree", tmp / "site"
+    shutil.copytree(REPO, tree, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".hypothesis", ".pytest_cache", "campaigns"))
+    site.mkdir()
+    calls = {}
+    for name, commands in _commands(tree).items():
+        out = tmp / name
+        out.mkdir()
+        (site / "sitecustomize.py").write_text(
+            "import importlib.util as u\n"
+            f"s = u.spec_from_file_location('census', {__file__!r})\n"
+            "m = u.module_from_spec(s)\ns.loader.exec_module(m)\n"
+            f"m.record({str(out)!r})\n")
+        path = os.pathsep.join([str(site), str(tree / "src")])
+        env = dict(os.environ, PYTHONPATH=path)
+        for cmd in commands:
+            print(f"census[{name}]: {' '.join(cmd[1:])}", flush=True)
+            code = subprocess.run(cmd, cwd=tree, env=env,
+                                  stdout=subprocess.DEVNULL).returncode
+            if code and name == "tier1":
+                raise SystemExit(f"census: tier-1 failed (exit {code})")
+            if code:
+                # a host-time gate (bench_simscale's events/s floor)
+                # can miss under the recorder; calls made are kept
+                print(f"census[{name}]: exit {code}, calls made are "
+                      "recorded", file=sys.stderr, flush=True)
+        calls[name] = set()
+        for dump in out.glob("*.txt"):
+            for line in dump.read_text().splitlines():
+                path, lineno, func = line.rsplit(":", 2)
+                _, sep, rel = path.rpartition("/src/repro/")
+                if sep:
+                    calls[name].add((rel, int(lineno), func))
     return calls
 
 
@@ -162,17 +157,13 @@ def definitions() -> dict[tuple[str, int, str], tuple[str, int]]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--records", type=Path, default=None,
-                        help="keep the records here; reuse them if present")
-    parser.add_argument("--list", choices=KINDS,
-                        help="also print each function in this class")
+    parser.add_argument("--list", nargs="+", choices=KINDS, default=(),
+                        help="also print each function of these kinds")
     args = parser.parse_args()
     defs = definitions()  # before the passes copy the tree
     with tempfile.TemporaryDirectory() as tmp:
-        records = args.records or Path(tmp)
-        if not (records / "paper").is_dir():
-            run_passes(records)
-        tier1, paper = reached(records / "tier1"), reached(records / "paper")
+        calls = run_passes(Path(tmp))
+    tier1, paper = calls["tier1"], calls["paper"]
 
     kinds, counts, lines = {}, Counter(), Counter()
     for key, (qualname, n) in sorted(defs.items()):
@@ -181,26 +172,22 @@ def main() -> int:
         name = f"{key[0]}:{qualname}"
         # a property's getter and setter share a qualname: most reached
         kinds[name] = max(kind, kinds.get(name, kind), key=KINDS.index)
-        package = key[0].split("/")[0].removesuffix(".py")
-        counts[package, kind] += 1
-        lines[package, kind] += n
+        for package in (key[0].split("/")[0].removesuffix(".py"), "total"):
+            counts[package, kind] += 1
+            lines[package, kind] += n
     print(f"\n{'package':<12}{'never':>14}{'tests-only':>14}{'paper':>14}"
           "    functions (lines)")
-    for package in sorted({p for p, _ in counts}) + ["total"]:
-        cells = []
-        for kind in KINDS:
-            keys = [(p, k) for p, k in counts
-                    if k == kind and package in (p, "total")]
-            cells.append(f"{sum(counts[k] for k in keys)} "
-                         f"({sum(lines[k] for k in keys)})")
-        print(f"{package:<12}" + "".join(f"{c:>14}" for c in cells))
+    for package in sorted({p for p, _ in counts} - {"total"}) + ["total"]:
+        print(f"{package:<12}" + "".join(
+            f"{f'{counts[package, k]} ({lines[package, k]})':>14}"
+            for k in KINDS))
 
     allowed = {line.split("#")[0].strip(): line
                for line in ALLOW.read_text().splitlines()
                if line.strip() and not line.startswith("#")}
-    if args.list:
-        print(*(name for name, kind in kinds.items() if kind == args.list),
-              sep="\n")
+    for name, kind in kinds.items():
+        if kind in args.list:
+            print(f"{kind:<12}{name}")
     problems = [f"never called, not on the allowlist: {name}"
                 for name, kind in kinds.items()
                 if kind == "never" and name not in allowed]

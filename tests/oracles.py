@@ -4,12 +4,15 @@ Each function or class here is the obvious, slow way to compute
 something the live code computes with a faster algorithm — a scalar fold
 against a vectorised one, a heap merge against a batch sort, a
 per-transfer rescan against virtual time — or the inverse of what it
-writes: the GIF decoder reads back what ``repro.rlang.gif`` encodes.
+writes: the GIF decoder reads back what ``repro.rlang.gif`` encodes —
+or another engine: ``sqlite3`` runs the SQL the R layer runs.
 They share no logic with the code they check, which is what makes them
 oracles; nothing under ``src/`` may import this module.
 """
 
 import heapq
+import math
+import sqlite3
 import struct
 from typing import Any, Optional
 
@@ -226,6 +229,48 @@ class NaiveSharedBandwidth:
 
 
 # --------------------------------------------------------- repro.rlang
+def is_null(value):
+    return value is None or (isinstance(value, float) and math.isnan(value))
+
+
+def _cell(value):
+    """A comparable stand-in for one result cell: NULL/NaN sort first,
+    numbers compare by value (1 == 1.0), strings after numbers."""
+    if is_null(value):
+        return (0, 0.0, "")
+    if isinstance(value, str):
+        return (2, 0.0, value)
+    return (1, round(float(value), 9), "")
+
+
+def multiset(rows):
+    return sorted(tuple(_cell(v) for v in row) for row in rows)
+
+
+def frame_rows(frame):
+    return list(zip(*(frame[name].tolist() for name in frame.names)))
+
+
+def sqlite_rows(sql, frames):
+    """Run ``sql`` on sqlite3 tables holding the same rows. Columns are
+    declared without a type, so sqlite applies no affinity conversion:
+    the text '1' stays different from the number 1, as in the frames;
+    LIKE is made case-sensitive, as ours is."""
+    db = sqlite3.connect(":memory:")
+    try:
+        db.execute("PRAGMA case_sensitive_like=ON")
+        for table, frame in frames.items():
+            db.execute(f"CREATE TABLE {table} ({', '.join(frame.names)})")
+            marks = ", ".join("?" * frame.ncol)
+            db.executemany(
+                f"INSERT INTO {table} VALUES ({marks})",
+                [tuple(None if is_null(v) else v for v in row)
+                 for row in frame_rows(frame)])
+        return db.execute(sql).fetchall()
+    finally:
+        db.close()
+
+
 class _BitReader:
     def __init__(self, data: bytes):
         self._data = data

@@ -9,7 +9,7 @@ engine:
   return the same frame — column names, values, row order;
 - content == ``sqlite3``: the rows, as a multiset, are what stdlib
   sqlite returns for the same SQL over the same tables (the harness of
-  ``test_relational_kernels.py``; a LIMIT is checked as a prefix of the
+  ``tests/oracles.py``; a LIMIT is checked as a prefix of the
   unlimited result, since SQL leaves *which* rows a LIMIT keeps open);
 - row order == golden: the frame equals, value for value and row for
   row, the one the retired eager evaluator returned at the same seeds
@@ -32,7 +32,7 @@ from repro.rlang.exec import plan_query
 from repro.rlang.plan import explain
 
 from tests.golden import load_golden
-from tests.rlang.test_relational_kernels import assert_matches_sqlite
+from tests.oracles import frame_rows, multiset, sqlite_rows
 
 GOLDEN = load_golden("rlang")
 
@@ -68,7 +68,8 @@ def check_query(sql, frames, golden):
     assert pushed.to_dict() == golden[sql]
     limit = re.search(r" LIMIT (\d+)$", sql)
     unlimited = sql[:limit.start()] if limit else sql
-    assert_matches_sqlite(unlimited, frames)
+    assert multiset(frame_rows(sqldf(unlimited, frames))) == \
+        multiset(sqlite_rows(unlimited, frames)), unlimited
     if limit:
         assert_same(sqldf(unlimited, frames).head(int(limit.group(1))),
                     pushed)

@@ -12,15 +12,15 @@ DISTINCT, checked against oracles that share no code with them:
 """
 
 import cProfile
-import math
 import pstats
-import sqlite3
 
 import numpy as np
 import pytest
 
 from repro.rlang import SQLError, data_frame, sqldf
 from repro.rlang.sqldf import _distinct_rows, _group_frames, _hash_join
+
+from tests.oracles import frame_rows, is_null, multiset, sqlite_rows
 
 NAN = float("nan")
 KINDS = ("int", "float", "null", "str")
@@ -47,48 +47,6 @@ def value_column(rng, n):
 
 
 # ---------------------------------------------------- sqlite3 differential
-
-def is_null(value):
-    return value is None or (isinstance(value, float) and math.isnan(value))
-
-
-def _cell(value):
-    """A comparable stand-in for one result cell: NULL/NaN sort first,
-    numbers compare by value (1 == 1.0), strings after numbers."""
-    if is_null(value):
-        return (0, 0.0, "")
-    if isinstance(value, str):
-        return (2, 0.0, value)
-    return (1, round(float(value), 9), "")
-
-
-def multiset(rows):
-    return sorted(tuple(_cell(v) for v in row) for row in rows)
-
-
-def frame_rows(frame):
-    return list(zip(*(frame[name].tolist() for name in frame.names)))
-
-
-def sqlite_rows(sql, frames):
-    """Run ``sql`` on sqlite3 tables holding the same rows. Columns are
-    declared without a type, so sqlite applies no affinity conversion:
-    the text '1' stays different from the number 1, as in the frames;
-    LIKE is made case-sensitive, as ours is."""
-    db = sqlite3.connect(":memory:")
-    try:
-        db.execute("PRAGMA case_sensitive_like=ON")
-        for table, frame in frames.items():
-            db.execute(f"CREATE TABLE {table} ({', '.join(frame.names)})")
-            marks = ", ".join("?" * frame.ncol)
-            db.executemany(
-                f"INSERT INTO {table} VALUES ({marks})",
-                [tuple(None if is_null(v) else v for v in row)
-                 for row in frame_rows(frame)])
-        return db.execute(sql).fetchall()
-    finally:
-        db.close()
-
 
 def assert_matches_sqlite(sql, frames):
     ours = sqldf(sql, frames)

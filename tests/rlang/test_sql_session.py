@@ -25,11 +25,7 @@ from repro.rlang import SQLError, SQLSession, data_frame
 from repro.workloads.nuwrf import NUWRFConfig, synthesize_timestep
 
 from tests.golden import load_golden
-from tests.rlang.test_relational_kernels import (
-    frame_rows,
-    multiset,
-    sqlite_rows,
-)
+from tests.oracles import frame_rows, multiset, sqlite_rows
 
 SHAPE = (4, 16, 16)
 
